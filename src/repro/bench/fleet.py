@@ -93,7 +93,7 @@ class FleetBenchConfig:
 def _shape_hit_rate(stats: dict) -> float:
     """Fraction of structural builds avoided by the shape cache.
 
-    Instance/value-digest hits skip compilation entirely; of the compiles
+    Instance hits skip compilation entirely; of the compiles
     that did reach the structural layer, ``shape_hits`` reused a cached
     index skeleton and only re-scattered values.
     """
@@ -260,7 +260,6 @@ def fleet_summary_lines(record: dict) -> list[str]:
             f"compile: {stats.get('compiles', 0)} compiles, shape hit rate "
             f"{plan['shape_hit_rate']:.0%} "
             f"({stats.get('shape_hits', 0)} shape / "
-            f"{stats.get('digest_hits', 0)} digest / "
             f"{stats.get('full_builds', 0)} full)"
         ),
         (

@@ -66,9 +66,13 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
     hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
 
     INF = float("inf")
-    best = np.full(T + 1, INF)   # best[j]: min cost serving net demand of [0, j)
-    choice = np.full(T + 1, -1, dtype=int)  # production slot, or -2 for "skip"
+    best = [INF] * (T + 1)   # best[j]: min cost serving net demand of [0, j)
+    choice = [-1] * (T + 1)  # production slot, or -2 for "skip"
     best[0] = 0.0
+    # hold[t]: holding cost of producing at t for the net demand of [t, j];
+    # each unit consumed in slot u sits in inventory ends t..u-1, so moving
+    # from j-1 to j adds demand[j] * (hold_prefix[j] - hold_prefix[t]).
+    hold = np.zeros(T)
 
     for j in range(T):
         # Skip transition: slot j has no net demand, extend the plan for [0, j).
@@ -76,19 +80,16 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
             best[j + 1] = best[j]
             choice[j + 1] = -2
         # Produce at any slot t <= j, covering net demand of [t, j].
-        for t in range(j + 1):
-            if best[t] >= INF:
-                continue
-            qty = cum[j + 1] - cum[t]
-            if qty <= _EPS:
-                continue
-            # each unit consumed in slot u sits in inventory ends t..u-1
-            us = np.arange(t, j + 1)
-            hold_cost = float(demand[us] @ (hold_prefix[us] - hold_prefix[t]))
-            cand = best[t] + setup[t] + unit_gen[t] * qty + hold_cost
-            if cand < best[j + 1] - 1e-15:
-                best[j + 1] = cand
-                choice[j + 1] = t
+        hold[: j + 1] += demand[j] * (hold_prefix[j] - hold_prefix[: j + 1])
+        qty = cum[j + 1] - cum[: j + 1]
+        cand = np.asarray(best[: j + 1]) + setup[: j + 1] + unit_gen[: j + 1] * qty + hold[: j + 1]
+        cand[qty <= _EPS] = INF
+        # Scan in slot order so the earliest of (near-)equal candidates wins.
+        cur, pick = best[j + 1], choice[j + 1]
+        for t, value in enumerate(cand.tolist()):
+            if value < cur - 1e-15:
+                cur, pick = value, t
+        best[j + 1], choice[j + 1] = cur, pick
 
     # Reconstruct generation decisions.
     alpha = np.zeros(T)

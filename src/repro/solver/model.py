@@ -28,26 +28,19 @@ __all__ = [
     "reset_compile_cache_stats",
 ]
 
-#: Module-level LRU of compiled matrices keyed by structural digest, shared
-#: across Model instances so the planning service recompiles a resubmitted
-#: model zero times.  Small (structures are arrays, not tableaux) and
-#: lock-guarded because the service solves on worker threads.
-_COMPILE_CACHE: "OrderedDict[str, CompiledProblem]" = OrderedDict()
-_COMPILE_CACHE_MAX = 32
-_COMPILE_CACHE_LOCK = threading.Lock()
-
-#: Second-level LRU keyed on the *shape* digest (sparsity pattern only, no
-#: coefficient values).  A fleet of tenants builds thousands of models that
-#: differ only in demands/prices; their matrices differ but the row
-#: partition and COO index arrays are identical, so a shape hit skips the
-#: per-row Python assembly and reduces compilation to value scatters.
-_SHAPE_CACHE: "OrderedDict[str, _CompiledShape]" = OrderedDict()
+#: Module-level LRU keyed on the *shape* of a model (sparsity pattern
+#: only, no coefficient values).  A fleet of tenants builds thousands of
+#: models that differ only in demands/prices; their matrices differ but the
+#: row partition and COO index arrays are identical, so a shape hit skips
+#: the per-row Python assembly and reduces compilation to value scatters.
+#: Lock-guarded because the service solves on worker threads.
+_SHAPE_CACHE: "OrderedDict[tuple, _CompiledShape]" = OrderedDict()
 _SHAPE_CACHE_MAX = 64
+_SHAPE_CACHE_LOCK = threading.Lock()
 
 _COMPILE_STATS = {
     "compiles": 0,       # total compile() calls
     "instance_hits": 0,  # unmodified model recompiled -> per-instance cache
-    "digest_hits": 0,    # identical values -> module-level compiled LRU
     "shape_hits": 0,     # identical sparsity pattern -> index-array reuse
     "full_builds": 0,    # cold: row partition + index arrays built from scratch
 }
@@ -55,33 +48,32 @@ _COMPILE_STATS = {
 
 def compile_cache_stats() -> dict[str, int]:
     """Snapshot of the compile-cache counters (see ``_COMPILE_STATS``)."""
-    with _COMPILE_CACHE_LOCK:
+    with _SHAPE_CACHE_LOCK:
         return dict(_COMPILE_STATS)
 
 
 def reset_compile_cache_stats() -> None:
     """Zero the compile-cache counters (benchmarks call this per leg)."""
-    with _COMPILE_CACHE_LOCK:
+    with _SHAPE_CACHE_LOCK:
         for key in _COMPILE_STATS:
             _COMPILE_STATS[key] = 0
 
 
 def reset_compile_cache() -> None:
-    """Drop the module-level digest and shape LRUs and zero the counters.
+    """Drop the module-level shape LRU and zero the counters.
 
-    Tests that assert on cold-compile behaviour need this: the LRUs are
+    Tests that assert on cold-compile behaviour need this: the LRU is
     process-wide, so without it any same-shape model compiled earlier in
     the process turns an expected ``full_build`` into a cache hit.
     """
-    with _COMPILE_CACHE_LOCK:
-        _COMPILE_CACHE.clear()
+    with _SHAPE_CACHE_LOCK:
         _SHAPE_CACHE.clear()
         for key in _COMPILE_STATS:
             _COMPILE_STATS[key] = 0
 
 
 def _bump(counter: str) -> None:
-    with _COMPILE_CACHE_LOCK:
+    with _SHAPE_CACHE_LOCK:
         _COMPILE_STATS[counter] += 1
 
 
@@ -93,7 +85,7 @@ class _CompiledShape:
     order; the ``ri``/``ci`` arrays are the COO scatter indices for each
     block; ``obj_ci`` the objective's column indices in term-iteration
     order.  Value extraction at fill time walks the same iteration order
-    the shape digest was computed from, so columns always line up.
+    the shape key was built from, so columns always line up.
     """
 
     n: int
@@ -272,90 +264,43 @@ class Model:
         )
 
     # -- compilation -----------------------------------------------------------
-    def _structure_digest(self) -> str:
-        """Content digest of everything :meth:`compile` reads (names excluded).
-
-        Two models with identical structure — same bounds, vtypes,
-        coefficients, senses, objective — digest identically regardless of
-        variable/constraint naming, mirroring the label-invariance of the
-        service plan cache.
-        """
-        from repro.serialize import result_digest
-
-        payload = {
-            "vars": [(v.lb, v.ub, v.vtype.value) for v in self.variables],
-            "constrs": [
-                (
-                    c.sense.value,
-                    c.rhs,
-                    sorted((v.index, coef) for v, coef in c.expr.terms.items()),
-                )
-                for c in self.constraints
-            ],
-            "objective": {
-                "sense": self.sense,
-                "constant": self.objective.constant,
-                "terms": sorted((v.index, coef) for v, coef in self.objective.terms.items()),
-            },
-        }
-        return result_digest(payload)
-
-    def _shape_digest(self) -> str:
-        """Digest of the sparsity pattern only — no coefficient values.
+    def _shape_key(self) -> tuple:
+        """Hashable sparsity pattern — no coefficient values.
 
         Covers everything :class:`_CompiledShape` encodes: variable count,
         constraint senses in order, each row's column indices in *term
-        iteration order* (so two models digesting equal are guaranteed to
+        iteration order* (so two models with equal keys are guaranteed to
         scatter values into the same slots), and the objective's column
         order and sense.  Bounds, vtypes, rhs and coefficients are values
         and are filled per model.
         """
-        from repro.serialize import result_digest
-
-        payload = {
-            "n": len(self.variables),
-            "rows": [
-                (c.sense.value, tuple(v.index for v in c.expr.terms))
-                for c in self.constraints
-            ],
-            "objective": (self.sense, tuple(v.index for v in self.objective.terms)),
-        }
-        return result_digest(payload)
+        return (
+            len(self.variables),
+            tuple((c.sense, tuple(v.index for v in c.expr.terms)) for c in self.constraints),
+            self.sense,
+            tuple(v.index for v in self.objective.terms),
+        )
 
     def compile(self) -> CompiledProblem:
         """Compile to matrix form; maximize models get ``c`` negated.
 
-        Results are cached three ways and always returned as defensive
+        Results are cached two ways and always returned as defensive
         copies (callers mutate bounds in place during branching/presolve):
 
         * per instance, keyed on the mutation counter, so back-to-back
           solves of an unmodified model skip matrix assembly entirely;
-        * in a small module-level LRU keyed on the structural digest
-          (:mod:`repro.serialize`), so rebuilding the *same* model — e.g. a
-          replan of an identical planning request — also hits;
         * in a module-level shape LRU keyed on the sparsity pattern alone,
           so same-shape models with different coefficients (a fleet of
-          tenants) reuse the row partition and COO index arrays and only
-          pay for value scatters.
+          tenants, a resubmitted planning request) reuse the row partition
+          and COO index arrays and only pay for value scatters.
         """
         _bump("compiles")
         if self._compiled is not None and self._compiled_version == self._version:
             _bump("instance_hits")
             return self._compiled.copy(variables=self.variables)
 
-        digest = self._structure_digest()
-        with _COMPILE_CACHE_LOCK:
-            cached = _COMPILE_CACHE.get(digest)
-            if cached is not None:
-                _COMPILE_CACHE.move_to_end(digest)
-        if cached is not None:
-            _bump("digest_hits")
-            self._compiled = cached.copy(variables=self.variables)
-            self._compiled_version = self._version
-            return self._compiled.copy(variables=self.variables)
-
-        shape_key = self._shape_digest()
-        with _COMPILE_CACHE_LOCK:
+        shape_key = self._shape_key()
+        with _SHAPE_CACHE_LOCK:
             shape = _SHAPE_CACHE.get(shape_key)
             if shape is not None:
                 _SHAPE_CACHE.move_to_end(shape_key)
@@ -364,7 +309,7 @@ class Model:
         else:
             _bump("full_builds")
             shape = self._build_shape()
-            with _COMPILE_CACHE_LOCK:
+            with _SHAPE_CACHE_LOCK:
                 _SHAPE_CACHE[shape_key] = shape
                 _SHAPE_CACHE.move_to_end(shape_key)
                 while len(_SHAPE_CACHE) > _SHAPE_CACHE_MAX:
@@ -373,11 +318,6 @@ class Model:
         compiled = self._compile_with_shape(shape)
         self._compiled = compiled
         self._compiled_version = self._version
-        with _COMPILE_CACHE_LOCK:
-            _COMPILE_CACHE[digest] = compiled.copy()
-            _COMPILE_CACHE.move_to_end(digest)
-            while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
-                _COMPILE_CACHE.popitem(last=False)
         return compiled.copy(variables=self.variables)
 
     def _compile_uncached(self) -> CompiledProblem:

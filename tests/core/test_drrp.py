@@ -194,6 +194,51 @@ class TestWagnerWhitinCrossCheck:
         plan = solve_wagner_whitin(inst)
         plan.validate(inst)
 
+    def _agrees_with_milp(self, demand, setup, holding, tin, eps=0.0):
+        inst = self._instance(
+            *(np.asarray(v, dtype=float) for v in (demand, setup, holding, tin)), eps
+        )
+        dp = solve_wagner_whitin(inst)
+        dp.validate(inst)
+        milp = solve_drrp(inst, backend="scipy")
+        assert dp.total_cost == pytest.approx(milp.total_cost, abs=1e-6)
+        return dp
+
+    def test_initial_storage_covers_all_demand(self):
+        dp = self._agrees_with_milp(
+            [0.5, 0.25, 1.0], [0.3, 0.2, 0.4], [0.1, 0.05, 0.2], [0.1, 0.1, 0.1], eps=2.0
+        )
+        assert not dp.chi.any() and not dp.alpha.any()
+        assert dp.beta.tolist() == [1.5, 1.25, 0.25]
+
+    def test_zero_demand_slots_mid_horizon(self):
+        # Slots 2-4 need nothing; the cheap setup at zero-demand slot 3
+        # beats both carrying slot 0's lot across the gap and paying the
+        # setup at slot 5.
+        dp = self._agrees_with_milp(
+            [1.0, 0.5, 0.0, 0.0, 0.0, 1.5, 0.75],
+            [0.4, 0.9, 0.9, 0.05, 0.9, 0.9, 0.9],
+            [0.1] * 7,
+            [0.1] * 7,
+        )
+        assert dp.chi.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_horizon_one(self):
+        dp = self._agrees_with_milp([1.25], [0.5], [0.1], [0.2])
+        assert dp.chi.tolist() == [1.0] and dp.alpha.tolist() == [1.25]
+        assert dp.total_cost == pytest.approx(0.5 + 0.2 * 0.5 * 1.25 + 0.17 * 1.25)
+
+    def test_exact_tie_keeps_earliest_slot(self):
+        # Slot 2's demand costs the same from any slot: no holding, equal
+        # setups and transfer prices.  The earliest slot wins.
+        dp = self._agrees_with_milp([0.0, 0.0, 1.0], [1.0] * 3, [0.0] * 3, [0.25] * 3)
+        assert dp.chi.tolist() == [1.0, 0.0, 0.0]
+        # One lot for both slots (setup 1 + holding 1) ties two lots
+        # (setup 2), and the single lot at slot 0 wins.
+        dp = self._agrees_with_milp([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.25, 0.25])
+        assert dp.chi.tolist() == [1.0, 0.0]
+        assert dp.alpha.tolist() == [2.0, 0.0]
+
     def test_dp_rejects_capacitated(self):
         inst = DRRPInstance(
             demand=np.ones(3),

@@ -16,6 +16,7 @@ import pytest
 from repro.core.drrp import solve_drrp
 from repro.core.lotsizing import solve_wagner_whitin
 from repro.fleet import HeuristicInfeasible, generate_tenants, solve_heuristic
+from repro.fleet.heuristic import _float_sum
 from repro.fleet.planner import _knock
 from repro.verify import certify_drrp_plan
 
@@ -79,3 +80,13 @@ class TestSolveHeuristic:
         knocked = _knock(inst, tuple(range(8)))
         with pytest.raises(HeuristicInfeasible):
             solve_heuristic(knocked)
+
+
+def test_setup_cost_sum_is_numpys_to_the_bit():
+    # The search compares candidate costs without a tolerance beyond
+    # _TINY, so its setup-cost sum must round exactly as np.sum does,
+    # including numpy's pairwise blocks at 8 and 128 terms.
+    rng = np.random.default_rng(3)
+    for n in [*range(40), 127, 128, 129, 136, 200, 257, 300]:
+        values = rng.uniform(0.0, 100.0, n) * 10.0 ** rng.integers(-6, 6, n)
+        assert _float_sum(values.tolist()) == float(np.sum(values))

@@ -1,4 +1,4 @@
-"""Model.compile() memoization: invalidation, digest sharing, no aliasing."""
+"""Model.compile() memoization: invalidation, shape sharing, no aliasing."""
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class TestInstanceCache:
         assert p2.c[0] == -1.0
 
 
-class TestDigestCache:
+class TestSharedShapeCache:
     def test_structurally_equal_models_share_compilation(self):
-        # Two distinct Model instances with identical structure hit the
-        # module-level digest cache; results must still be independent.
+        # Two distinct Model instances with identical structure share the
+        # module-level shape cache; results must still be independent.
         a = _toy_model().compile()
         b = _toy_model().compile()
         assert np.array_equal(a.c, b.c)
@@ -68,7 +68,7 @@ class TestDigestCache:
         assert a.b_ub[0] == 4.0
         assert b.b_ub[0] == 9.0
 
-    def test_names_do_not_affect_structure_digest_correctness(self):
+    def test_names_do_not_affect_shared_compilation(self):
         # Variable names differ but structure matches: sharing is allowed,
         # and the variables list on each result is the owner's.
         m1 = Model("a")

@@ -1,7 +1,7 @@
 """The structural shape cache: same-shape models share one compiled skeleton.
 
-Distinct from the instance/digest caches in ``test_model_cache.py``:
-those memoize *identical* problems; the shape cache covers models with
+Distinct from the instance cache in ``test_model_cache.py``, which
+memoizes an *unmodified* model; the shape cache covers models with
 the same constraint structure but different coefficients — a fleet of
 same-horizon DRRP tenants — and must reproduce exactly what a cold
 compile builds.
@@ -83,14 +83,12 @@ class TestShapeFastPath:
     def test_stats_layers_are_disjoint_and_complete(self):
         reset_compile_cache_stats()
         m = _lot_model(7)
-        m.compile()   # digest or shape or full, depending on prior tests
+        m.compile()   # shape or full, depending on prior tests
         m.compile()   # instance hit
         stats = compile_cache_stats()
         assert stats["compiles"] == 2
         assert stats["instance_hits"] == 1
-        assert (
-            stats["digest_hits"] + stats["shape_hits"] + stats["full_builds"] == 1
-        )
+        assert stats["shape_hits"] + stats["full_builds"] == 1
 
     def test_shape_reuse_solves_to_the_right_optimum(self):
         from repro.solver import solve_compiled
