@@ -371,13 +371,14 @@ class MetricsAggregator:
     * ``cut_rounds`` / ``cuts_added``;
     * ``incumbent_objective`` and ``incumbent_gap`` series over time;
     * ``benders_lower`` / ``benders_upper`` bound trajectories;
-    * ``solves`` / ``solve_seconds`` (paired start/end);
+    * ``solves`` / ``solve_seconds`` (the ``duration`` each ``solve_end``
+      carries — one aggregator may listen to many hubs, each on its own
+      clock, so start/end timestamps are never paired across events);
     * fuzz campaign tallies.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._solve_starts: list[float] = []
 
     def on_event(self, event: SolveEvent) -> None:
         reg = self.registry
@@ -436,11 +437,10 @@ class MetricsAggregator:
                 reg.series("benders_upper").observe(event.t, float(data["upper"]))
         elif kind == "solve_start":
             reg.counter("solves").inc()
-            self._solve_starts.append(event.t)
         elif kind == "solve_end":
-            if self._solve_starts:
-                start = self._solve_starts.pop()
-                reg.histogram("solve_seconds").observe(event.t - start)
+            duration = data.get("duration")
+            if duration is not None:
+                reg.histogram("solve_seconds").observe(float(duration))
         elif kind == "backend_degraded":
             reg.counter("backend_degradations").inc()
         elif kind == "deadline_exceeded":

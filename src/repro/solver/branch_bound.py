@@ -20,10 +20,15 @@ built from scratch:
   the warm-hit rate.  The bases are engine-portable: under the default
   revised engine (see :mod:`repro.solver.revised`) they additionally
   carry the parent's basis-inverse hint, so a child re-solve skips the
-  factorization entirely.
+  factorization entirely, and a child cut off by its branching bound is
+  proven infeasible by the dual repair itself (an ``lp_warm`` with
+  ``mode="dual"``) rather than by a cold two-phase solve.
 
-Nodes store bound vectors plus the parent basis (small index arrays), so
-memory stays linear in the number of open nodes.
+Node relaxations are built directly on the arrays of the working problem
+(only the bounds differ, one shared zero integrality mask), so the simplex
+recognizes its parent's standard-form layout and re-runs only the bound
+step.  Nodes store bound vectors plus the parent basis (small index arrays
+sharing the layout's), so memory stays linear in the number of open nodes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -172,9 +177,18 @@ def branch_and_bound(
         supports_warm = False
     use_warm = opts.warm_start_lps and supports_warm
 
+    # Node relaxations share every array of ``work`` but the bounds, so the
+    # LP backend sees the same constraint-data objects at every node (the
+    # simplex reuses its standard-form layout on that identity).
+    relaxed = np.zeros_like(work.integrality)
+
     def lp_at(lb: np.ndarray, ub: np.ndarray, warm=None) -> SolverResult:
         nonlocal total_lp_iters, lp_warm_hits, lp_cold_solves
-        node_problem = dc_replace(work, lb=lb, ub=ub, integrality=np.zeros_like(work.integrality))
+        node_problem = CompiledProblem(
+            c=work.c, c0=work.c0, A_ub=work.A_ub, b_ub=work.b_ub,
+            A_eq=work.A_eq, b_eq=work.b_eq, lb=lb, ub=ub,
+            integrality=relaxed, maximize=work.maximize, variables=work.variables,
+        )
         lp_t0 = time.perf_counter() if telemetry else 0.0
         if use_warm:
             res = lp_solver(node_problem, warm_start=warm)

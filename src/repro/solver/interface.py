@@ -129,6 +129,7 @@ def solve_compiled(
         deadline = Deadline(float(time_limit))
 
     if telemetry:
+        solve_t0 = telemetry.now()
         telemetry.emit(
             "solve_start",
             backend=backend,
@@ -148,6 +149,7 @@ def solve_compiled(
                 objective=res.objective,
                 nodes=res.nodes,
                 iterations=res.iterations,
+                duration=telemetry.now() - solve_t0,
             )
         return res
 

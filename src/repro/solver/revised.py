@@ -54,6 +54,18 @@ test, bound flips with no basis change) mirror the tableau ops one-for-one
 on the maintained vectors, so the two engines agree on every certified
 answer and accept each other's :class:`~repro.solver.simplex.SimplexBasis`
 warm starts.
+
+Warm re-solves
+--------------
+
+:func:`warm_solve_revised` restarts phase 2 from a parent basis.  When the
+bounded dual repair meets a violated row with no eligible entering column,
+that row of ``B^-1`` is a Farkas ray (:meth:`_Core.farkas_ray`); once it
+passes a float check, the child is reported infeasible with the ray as its
+certificate, in the same convention as the cold phase-1 rays.  This is
+how a branch-and-bound child cut off by its branching bound is proven
+empty in one warm pass instead of a cold two-phase solve.  Only a ray that
+fails the check falls back cold.
 """
 
 from __future__ import annotations
@@ -292,6 +304,9 @@ class _Core:
         self.red = np.zeros(self.ncols)
         self.y: np.ndarray | None = None
         self.w = np.ones(self.ncols)  # Devex reference weights
+        #: Farkas ray over the kept rows, set when :meth:`dual` proves the
+        #: bounded system empty (see :meth:`farkas_ray`).
+        self.farkas: np.ndarray | None = None
         # True when x_B/red were just recomputed from a fresh factorization;
         # optimality is only declared while this holds.
         self.fresh = False
@@ -551,13 +566,51 @@ class _Core:
 
     # -- dual repair loop --------------------------------------------------
 
+    def farkas_ray(self, row: int, over: bool, arow: np.ndarray) -> np.ndarray | None:
+        """Row ``row`` of ``B^-1`` as a Farkas ray, or ``None`` if unproven.
+
+        When the dual simplex finds basic row ``row`` out of its bounds
+        with no eligible entering column, ``rho = e_row' B^-1`` (whose
+        product with ``A`` is ``arow``) certifies that ``A x = b,
+        0 <= x <= u`` is empty: every point of the box keeps the basic
+        variable on the wrong side.  The ray is ``y = rho`` for a row above
+        its upper bound and ``y = -rho`` for a row below zero, oriented as
+        the phase-1 rays of :func:`revised_solve` (``y'b`` exceeds the
+        maximum of ``y'A x`` over the box).
+
+        The eligibility test skipped coefficients below ``_EPS``, so the
+        claim is re-checked here in floats on ``y`` itself: no column
+        without a finite upper bound may have a positive coefficient in
+        ``y'A`` (it could carry the row anywhere), and ``y'b`` must clear
+        the box maximum by ``_FEAS_TOL`` times the magnitude of the terms
+        summed.  Basic columns take their exact coefficients (``rho B =
+        e_row``) instead of the rounding noise of the product, which the
+        exact certificate checker absorbs in its reduced-cost tolerance.
+        """
+        sgn = 1.0 if over else -1.0
+        y = sgn * self.factor.row(row)
+        g = sgn * arow
+        g[self.in_basis] = 0.0
+        g[self.basis[row]] = sgn
+        rising = g > 0.0
+        if not np.isfinite(self.u[rising]).all():
+            return None
+        lift = g[rising] * self.u[rising]
+        yb = y * self.b
+        slack = float(yb.sum()) - float(lift.sum())
+        scale = 1.0 + float(np.abs(yb).sum()) + float(lift.sum())
+        if slack <= _FEAS_TOL * scale:
+            return None
+        return y
+
     def dual(self, max_iter: int) -> tuple[str, int]:
         """Bounded dual simplex: restore primal feasibility (warm repair).
 
         Same leaving/entering rules as the tableau's ``_iterate_dual``:
         most-violated basic leaves, smallest reduced-cost ratio enters
         (smallest-index tie-break).  Status in ``{"feasible", "infeasible",
-        "limit", "deadline"}``.
+        "limit", "deadline"}``; on ``"infeasible"`` :attr:`farkas` holds the
+        checked ray, or ``None`` when the check failed.
         """
         m = self.m
         it = 0
@@ -584,6 +637,7 @@ class _Core:
                 elig = nonbasic & ((~at_up & (arow < -_EPS)) | (at_up & (arow > _EPS)))
             idx = np.nonzero(elig)[0]
             if idx.size == 0:
+                self.farkas = self.farkas_ray(row, leave_to_upper, arow)
                 return "infeasible", it
             ratios = np.abs(self.red[idx]) / np.abs(arow[idx])
             best = float(ratios.min())
@@ -720,6 +774,10 @@ def warm_solve_revised(
     refactorized directly — no O(m^2 n) ``solve(B, A)`` body
     materialization, which is what makes warm-heavy B&B workloads several
     times faster on this engine.
+
+    A dual repair that proves the problem empty returns ``"infeasible"``
+    (mode ``"dual"``) with a tableau whose ``farkas`` is the ray over all
+    rows of ``sf``; a ray that fails its float check returns ``None``.
     """
     m_all, n = sf.A.shape
     rows = np.asarray(warm.rows, dtype=int)
@@ -778,6 +836,16 @@ def warm_solve_revised(
         iters += dit
         if dstat == "deadline":
             return "deadline", None, math.nan, iters, None, mode
+        if dstat == "infeasible" and core.farkas is not None:
+            # The repair proved the child empty: export the ray over all
+            # rows (rows the parent dropped as redundant get 0).
+            farkas = np.zeros(m_all)
+            farkas[rows] = core.farkas
+            tab = RevisedTableau(
+                core.A, core.basis, rows=rows, at_upper=core.at_upper,
+                u=u, farkas=farkas,
+            )
+            return "infeasible", None, math.nan, iters, tab, mode
         if dstat != "feasible":
             return None
     try:

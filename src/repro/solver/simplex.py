@@ -42,9 +42,17 @@ next-iteration case) without phase 1:
 * if it is primal infeasible but dual feasible (the common case after a
   bound tightening), repair with the bounded **dual simplex** and polish
   with a primal pass;
+* if the repair proves the problem empty, return ``INFEASIBLE`` with the
+  repair's Farkas ray (revised engine; see :mod:`repro.solver.revised`);
 * anything else — singular basis, layout change, dual infeasibility, a
-  stalled repair — falls back to a cold two-phase solve, never to a wrong
-  answer.  ``result.extra["warm"]`` records which path ran.
+  stalled repair, a ray that fails its check — falls back to a cold
+  two-phase solve, never to a wrong answer.  ``result.extra["warm"]``
+  records which path ran.
+
+Standardization runs in two steps (:class:`StandardLayout`): the
+bound-independent layout is built once per constraint matrix and rides on
+the exported basis, so a re-solve of the same constraint data with new
+bounds repeats only the bound step.
 
 The final tableau and basis are exposed (:class:`SimplexTableau`) because the
 Gomory cut generator in :mod:`repro.solver.cuts` reads fractional rows off
@@ -89,6 +97,7 @@ __all__ = [
     "StandardForm",
     "SimplexTableau",
     "SimplexBasis",
+    "StandardLayout",
     "SIMPLEX_ENGINES",
     "resolve_engine",
     "standardize",
@@ -148,6 +157,11 @@ class StandardForm:
     This is what lets dual vectors computed on the standard form be mapped
     back to multipliers of the *original* ``A_ub``/``A_eq`` rows for
     certificate checking.
+
+    ``layout`` is the bound-independent :class:`StandardLayout` the form
+    was derived from; ``A``, ``c``, ``pos``, ``neg``, ``sign``,
+    ``row_kind`` and ``row_ref`` are its read-only arrays (``A`` is a
+    private copy only when some row had to be negated).
     """
 
     A: np.ndarray
@@ -162,6 +176,7 @@ class StandardForm:
     row_kind: np.ndarray | None = None
     row_ref: np.ndarray | None = None
     row_sign: np.ndarray | None = None
+    layout: "StandardLayout | None" = None
 
     def recover(self, x_std: np.ndarray) -> np.ndarray:
         x = self.shift + self.sign * x_std[self.pos]
@@ -193,7 +208,185 @@ class StandardForm:
         return {"y_ub": y_ub, "y_eq": y_eq}
 
 
-def standardize(problem: CompiledProblem) -> StandardForm:
+def _column_classes(problem: CompiledProblem):
+    """``(lb, ub, fin_lb, fin_ub, mirrored, free)`` of a problem's columns.
+
+    Mirrored columns have ``lb = -inf`` and a finite ``ub``; free columns
+    have neither bound.  These two masks are all the layout depends on.
+    """
+    lb = np.asarray(problem.lb, dtype=float)
+    ub = np.asarray(problem.ub, dtype=float)
+    fin_lb = np.isfinite(lb)
+    fin_ub = np.isfinite(ub)
+    return lb, ub, fin_lb, fin_ub, ~fin_lb & fin_ub, ~fin_lb & ~fin_ub
+
+
+@dataclass(frozen=True, eq=False)
+class StandardLayout:
+    """The bound-independent half of :func:`standardize`.
+
+    Built once per constraint matrix: the coefficient matrix with slack
+    columns (rows not yet negated), the concatenated original rows and
+    right-hand side, the cost vector, the column maps ``pos``/``neg``/
+    ``sign`` and the row bookkeeping ``row_kind``/``row_ref``.  None of it
+    depends on the values of the variable bounds — only on which variables
+    are mirrored or split — so a branch-and-bound child, which differs from
+    its parent in one bound, re-runs only :meth:`bounded`.  Every array the
+    layout owns is read-only, because standard forms share them.
+
+    ``source`` holds the ``(A_ub, A_eq, b_ub, b_eq, c)`` objects the
+    layout was built from; :meth:`fits` accepts a problem by identity of
+    those objects, never by comparing their values.
+    """
+
+    source: tuple
+    mirrored: np.ndarray
+    free: np.ndarray
+    A: np.ndarray
+    A_orig: np.ndarray | None  # [A_ub; A_eq], shifts b by the lower bounds
+    b: np.ndarray
+    c: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    sign: np.ndarray
+    n_structural: int
+    row_kind: np.ndarray
+    row_ref: np.ndarray
+
+    @classmethod
+    def build(
+        cls, problem: CompiledProblem, mirrored: np.ndarray, free: np.ndarray
+    ) -> "StandardLayout":
+        """Assemble the layout with vectorized column scatters.
+
+        Column positions come from a cumulative-width scan (free variables
+        take two columns), and the coefficient matrix lands in one fancy
+        assignment per variable class — no Python loop over matrix entries.
+        """
+        n = problem.num_vars
+        sign = np.ones(n)
+        sign[mirrored] = -1.0
+
+        width = np.where(free, 2, 1) if n else np.zeros(0, dtype=int)
+        offsets = np.concatenate([np.zeros(1, dtype=int), np.cumsum(width, dtype=int)])
+        pos = offsets[:-1]
+        neg = np.where(free, pos + 1, -1)
+        n_structural = int(offsets[-1])
+
+        m_ub = problem.A_ub.shape[0]
+        m_eq = problem.A_eq.shape[0]
+        m = m_ub + m_eq
+        n_total = n_structural + m_ub
+
+        A = np.zeros((m, n_total))
+        A_orig = None
+        b = np.zeros(m)
+        c = np.zeros(n_total)
+        remapped = bool(mirrored.any() or free.any())
+        if m:
+            b = np.concatenate(
+                [np.asarray(problem.b_ub, dtype=float), np.asarray(problem.b_eq, dtype=float)]
+            )
+            if n:
+                if m_eq == 0:
+                    A_orig = problem.A_ub
+                elif m_ub == 0:
+                    A_orig = problem.A_eq
+                else:
+                    A_orig = np.concatenate([problem.A_ub, problem.A_eq], axis=0)
+                if remapped:
+                    A[:, pos] = A_orig * sign
+                    if free.any():
+                        A[:, neg[free]] = -A_orig[:, free]
+                else:
+                    # All variables lb-shifted: pos is the identity map, so
+                    # the coefficients land in one contiguous block copy.
+                    A[:, :n] = A_orig
+            if m_ub:
+                A[np.arange(m_ub), n_structural + np.arange(m_ub)] = 1.0  # slacks
+        if n:
+            if remapped:
+                c[pos] = problem.c * sign
+                if free.any():
+                    c[neg[free]] = -problem.c[free]
+            else:
+                c[:n] = problem.c
+
+        row_kind = np.concatenate(
+            [np.full(m_ub, ROW_UB, dtype=np.int8), np.full(m_eq, ROW_EQ, dtype=np.int8)]
+        )
+        row_ref = np.concatenate([np.arange(m_ub), np.arange(m_eq)]).astype(int)
+        for arr in (mirrored, free, A, b, c, pos, neg, sign, row_kind, row_ref):
+            arr.flags.writeable = False
+        return cls(
+            source=(problem.A_ub, problem.A_eq, problem.b_ub, problem.b_eq, problem.c),
+            mirrored=mirrored, free=free, A=A, A_orig=A_orig, b=b, c=c,
+            pos=pos, neg=neg, sign=sign, n_structural=n_structural,
+            row_kind=row_kind, row_ref=row_ref,
+        )
+
+    def fits(self, problem: CompiledProblem, mirrored: np.ndarray, free: np.ndarray) -> bool:
+        """True when ``problem`` has this layout's constraint data objects
+        and the same mirrored/free columns.
+
+        Identity stands in for equality because the caller that reuses a
+        layout (branch and bound) hands every node the same arrays; editing
+        those arrays in place between a solve and a warm re-solve from its
+        basis is not detected.
+        """
+        src = self.source
+        return (
+            problem.A_ub is src[0] and problem.A_eq is src[1]
+            and problem.b_ub is src[2] and problem.b_eq is src[3]
+            and problem.c is src[4]
+            and np.array_equal(mirrored, self.mirrored)
+            and np.array_equal(free, self.free)
+        )
+
+    def bounded(
+        self, lb: np.ndarray, ub: np.ndarray, fin_lb: np.ndarray, fin_ub: np.ndarray
+    ) -> StandardForm:
+        """The bound step: shifts, native upper bounds, ``b`` and row flips.
+
+        ``x = lb + x'`` shifts finite lower bounds and ``x = ub - x'``
+        mirrors; ``u = ub - lb`` where both are finite.  The right-hand
+        side becomes ``b - A_orig @ shift``, and rows with negative rhs are
+        negated so phase 1 can start from ``b >= 0``.  ``A`` is shared with
+        the layout unless a row is negated.
+        """
+        n = lb.shape[0]
+        shift = np.zeros(n)
+        shift[fin_lb] = lb[fin_lb]
+        shift[self.mirrored] = ub[self.mirrored]
+        u = np.full(self.A.shape[1], np.inf)
+        both = fin_lb & fin_ub
+        u[self.pos[both]] = ub[both] - lb[both]
+
+        if self.A_orig is not None and shift.any():
+            b = self.b - self.A_orig @ shift
+        else:
+            b = self.b.copy()
+        # normalize to b >= 0 for phase 1
+        flip = b < 0
+        A = self.A
+        if flip.any():
+            A = A.copy()
+            A[flip] *= -1.0
+            b[flip] *= -1.0
+        row_sign = np.where(flip, -1.0, 1.0)
+
+        return StandardForm(
+            A=A, b=b, c=self.c, u=u, shift=shift,
+            pos=self.pos, neg=self.neg, sign=self.sign,
+            n_structural=self.n_structural,
+            row_kind=self.row_kind, row_ref=self.row_ref, row_sign=row_sign,
+            layout=self,
+        )
+
+
+def standardize(
+    problem: CompiledProblem, layout: StandardLayout | None = None
+) -> StandardForm:
     """Convert a compiled problem to bounded standard form ``0 <= x <= u``.
 
     Handling per variable:
@@ -206,95 +399,16 @@ def standardize(problem: CompiledProblem) -> StandardForm:
     so phase 1 can start from ``b >= 0``.  Finite upper bounds become native
     column bounds — no extra rows.
 
-    The whole conversion is vectorized column-scatter assembly (no
-    Python-level loop over matrix entries): column positions come from a
-    cumulative-width scan, and the coefficient matrix lands in one fancy
-    assignment per variable class — the same COO-style batching the compile
-    path uses, carried into the solve path.
+    The conversion runs in two steps: :meth:`StandardLayout.build` (the
+    bound-independent matrix assembly) and :meth:`StandardLayout.bounded`
+    (the bound step).  A ``layout`` that :meth:`~StandardLayout.fits` the
+    problem — the warm-start case, where a child LP reuses its parent's —
+    skips the first step.
     """
-    n = problem.num_vars
-    lb = np.asarray(problem.lb, dtype=float)
-    ub = np.asarray(problem.ub, dtype=float)
-
-    fin_lb = np.isfinite(lb)
-    fin_ub = np.isfinite(ub)
-    # Mirrored: lb = -inf with finite ub, substituted as x = ub - x'.
-    mirrored = ~fin_lb & fin_ub
-    free = ~fin_lb & ~fin_ub
-
-    shift = np.zeros(n)
-    shift[fin_lb] = lb[fin_lb]
-    shift[mirrored] = ub[mirrored]
-    sign = np.ones(n)
-    sign[mirrored] = -1.0
-
-    # Free variables split into two columns; everything else takes one.
-    width = np.where(free, 2, 1) if n else np.zeros(0, dtype=int)
-    offsets = np.concatenate([np.zeros(1, dtype=int), np.cumsum(width, dtype=int)])
-    pos = offsets[:-1]
-    neg = np.where(free, pos + 1, -1)
-    n_structural = int(offsets[-1])
-
-    m_ub = problem.A_ub.shape[0]
-    m_eq = problem.A_eq.shape[0]
-    m = m_ub + m_eq
-    n_total = n_structural + m_ub
-
-    A = np.zeros((m, n_total))
-    b = np.zeros(m)
-    c = np.zeros(n_total)
-    u = np.full(n_total, np.inf)
-    both = fin_lb & fin_ub
-    u[pos[both]] = ub[both] - lb[both]
-
-    remapped = bool(mirrored.any() or free.any())
-    if m:
-        b = np.concatenate(
-            [np.asarray(problem.b_ub, dtype=float), np.asarray(problem.b_eq, dtype=float)]
-        )
-        if n:
-            if m_eq == 0:
-                A_orig = problem.A_ub
-            elif m_ub == 0:
-                A_orig = problem.A_eq
-            else:
-                A_orig = np.concatenate([problem.A_ub, problem.A_eq], axis=0)
-            if remapped:
-                A[:, pos] = A_orig * sign
-                if free.any():
-                    A[:, neg[free]] = -A_orig[:, free]
-            else:
-                # All variables lb-shifted: pos is the identity map, so the
-                # coefficients land in one contiguous block copy.
-                A[:, :n] = A_orig
-            if shift.any():
-                b = b - A_orig @ shift
-        if m_ub:
-            A[np.arange(m_ub), n_structural + np.arange(m_ub)] = 1.0  # slacks
-    if n:
-        if remapped:
-            c[pos] = problem.c * sign
-            if free.any():
-                c[neg[free]] = -problem.c[free]
-        else:
-            c[:n] = problem.c
-
-    row_kind = np.concatenate(
-        [np.full(m_ub, ROW_UB, dtype=np.int8), np.full(m_eq, ROW_EQ, dtype=np.int8)]
-    )
-    row_ref = np.concatenate([np.arange(m_ub), np.arange(m_eq)]).astype(int)
-
-    # normalize to b >= 0 for phase 1
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    row_sign = np.where(flip, -1.0, 1.0)
-
-    return StandardForm(
-        A=A, b=b, c=c, u=u, shift=shift, pos=pos, neg=neg, sign=sign,
-        n_structural=n_structural,
-        row_kind=row_kind, row_ref=row_ref, row_sign=row_sign,
-    )
+    lb, ub, fin_lb, fin_ub, mirrored, free = _column_classes(problem)
+    if layout is None or not layout.fits(problem, mirrored, free):
+        layout = StandardLayout.build(problem, mirrored, free)
+    return layout.bounded(lb, ub, fin_lb, fin_ub)
 
 
 @dataclass
@@ -346,6 +460,11 @@ class SimplexBasis:
     nonbasic columns, the surviving row indices, and the standardization
     fingerprint (``pos``/``neg``/``sign`` plus shape) that must match for
     the basis to be meaningful in the new problem's column space.
+
+    ``layout`` is the :class:`StandardLayout` of the solve that produced
+    the basis (``pos``/``neg``/``sign`` are its shared read-only arrays).
+    A re-solve whose problem the layout :meth:`~StandardLayout.fits` runs
+    only the bound step of standardization and needs no :meth:`matches`.
     """
 
     basis: np.ndarray
@@ -356,6 +475,15 @@ class SimplexBasis:
     pos: np.ndarray
     neg: np.ndarray
     sign: np.ndarray
+    layout: StandardLayout | None = None
+
+    def __getstate__(self) -> dict:
+        # A layout fits only the very arrays it was built from, which no
+        # unpickled copy holds; dropping it keeps bases that cross process
+        # boundaries (Benders workers) as small as before.
+        state = self.__dict__.copy()
+        state["layout"] = None
+        return state
 
     def matches(self, sf: StandardForm) -> bool:
         """True when ``sf`` shares this basis's standard-form layout."""
@@ -379,7 +507,7 @@ def _basis_from_tableau(tableau: SimplexTableau, sf: StandardForm) -> SimplexBas
     sb = SimplexBasis(
         basis=tableau.basis.copy(), at_upper=at_upper, rows=rows.copy(),
         n_cols=n, m_rows=sf.A.shape[0],
-        pos=sf.pos.copy(), neg=sf.neg.copy(), sign=sf.sign.copy(),
+        pos=sf.pos, neg=sf.neg, sign=sf.sign, layout=sf.layout,
     )
     # The revised engine exports its final basis inverse; children warm-
     # starting from this basis adopt it (after a residual check) instead of
@@ -911,29 +1039,39 @@ def solve_lp_simplex(
     ``warm_start`` to attempt a phase-2-only re-solve (see
     :func:`_warm_solve` / :func:`repro.solver.revised.warm_solve_revised`);
     ``extra['warm']`` on the result records whether the warm path was used
-    (``{"used": bool, "mode": "primal"|"dual", "reason": ...}``).  A warm
-    basis that is rejected — layout mismatch after standardization, or a
-    failed repair — falls back to a cold solve *loudly*: a
-    ``warm_start_rejected`` telemetry event (``where="simplex"``) carries
-    the reason alongside the ``extra['warm']`` record.  An ``OPTIMAL``
-    result always carries a fresh ``extra['basis']`` for the next re-solve
-    in the chain; bases are engine-portable in both directions.
+    (``{"used": bool, "mode": "primal"|"dual", "reason": ...}``).  When the
+    problem has the basis's constraint-data objects (``A_ub``, ``A_eq``,
+    ``b_ub``, ``b_eq``, ``c``) and the same mirrored/free columns, the
+    basis's layout is reused and only the bound step of standardization
+    runs.  On the revised engine, a child the dual repair proves empty is
+    ``INFEASIBLE`` with ``extra['warm'] == {"used": True, "mode": "dual"}``.
+    A warm basis that is rejected — layout mismatch after
+    standardization, or a failed repair or infeasibility proof — falls
+    back to a cold solve *loudly*: a ``warm_start_rejected`` telemetry
+    event (``where="simplex"``) carries the reason alongside the
+    ``extra['warm']`` record.  An ``OPTIMAL`` result always carries a
+    fresh ``extra['basis']`` for the next re-solve in the chain; bases
+    are engine-portable in both directions.
 
     Certificates: an ``OPTIMAL`` result carries
     ``extra['dual_certificate']`` (``y_ub``/``y_eq`` multipliers of the
     original rows) and an ``INFEASIBLE`` one carries
     ``extra['farkas_certificate']`` — both in the exact convention checked
-    by :func:`repro.verify.certify_result`, identically for both engines.
+    by :func:`repro.verify.certify_result`, identically for both engines
+    and for cold phase-1 rays and warm dual-repair rays alike.
     """
     engine = resolve_engine(engine)
     # Standard-form conversion builds the full constraint matrix — a real
     # cost on large instances, so it gets its own phase in the event stream.
+    # A warm basis offers its layout: a bound-modified child of the same
+    # constraint data then runs only the bound step.
+    layout = warm_start.layout if warm_start is not None else None
     if telemetry:
         with telemetry.phase("standard_form") as info:
-            sf = standardize(problem)
+            sf = standardize(problem, layout)
             info["rows"], info["cols"] = sf.A.shape
     else:
-        sf = standardize(problem)
+        sf = standardize(problem, layout)
     # The factored engine needs at least one row; the no-row LP is a trivial
     # bound inspection that the tableau path answers without pivoting.
     use_revised = engine == "revised" and sf.A.shape[0] > 0
@@ -947,7 +1085,7 @@ def solve_lp_simplex(
             extra={"warm": warm_info, "engine": engine},
         )
     if warm_start is not None:
-        if warm_start.matches(sf):
+        if sf.layout is warm_start.layout or warm_start.matches(sf):
             warm_fn = warm_solve_revised if use_revised else _warm_solve
             if telemetry:
                 with telemetry.phase("simplex_warm", engine=engine) as info:

@@ -23,7 +23,9 @@ Event kinds (``SolveEvent.kind``) emitted by the stack:
 
 ``solve_start`` / ``solve_end``
     Bracket one ``solve_compiled`` call; payload carries backend, sizes,
-    and the final status.
+    and the final status.  ``solve_end`` also carries the call's own
+    ``duration``, so listeners shared by several hubs need not pair the
+    two events.
 ``phase_start`` / ``phase_end``
     Timed phases (presolve, simplex phase 1/2, root cuts, ...);
     ``phase_end`` carries ``duration`` and work counters such as simplex
@@ -35,6 +37,8 @@ Event kinds (``SolveEvent.kind``) emitted by the stack:
     One per B&B node LP solve: the relaxation restarted from the parent
     basis (payload: pivots, repair ``mode``) or ran a cold two-phase
     solve (payload: pivots, ``reason``).  The ratio is the warm-hit rate.
+    A child the dual repair proves infeasible is an ``lp_warm`` with
+    ``mode="dual"``.
 ``incumbent``
     A new best integer-feasible solution (payload: objective, source).
 ``cut_round``
@@ -152,11 +156,15 @@ class Deadline:
         return f"Deadline(budget={self.budget}, remaining={self.remaining():.3f})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveEvent:
     """One telemetry record: ``kind`` (see :data:`EVENT_KINDS`), a
     timestamp ``t`` in seconds since the owning :class:`Telemetry` was
-    created, and a free-form ``data`` payload."""
+    created, and a free-form ``data`` payload.
+
+    Slotted because recorders keep every event: a rolling campaign retains
+    thousands of them per run.
+    """
 
     kind: str
     t: float
@@ -205,6 +213,10 @@ class Telemetry:
         if isinstance(listener, Telemetry):
             return listener
         return cls(listeners=(listener,))
+
+    def now(self) -> float:
+        """Seconds since the hub was created, on the hub's own clock."""
+        return self._clock() - self._t0
 
     def emit(self, kind: str, **data) -> None:
         """Timestamp and dispatch one event to every listener."""

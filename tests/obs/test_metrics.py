@@ -111,7 +111,7 @@ class TestAggregator:
             ev("node_prune", 0.7, node=2),
             ev("incumbent", 0.7, objective=9.0, gap=0.1),
             ev("cut_round", 0.8, round=1, generated=5, added=2),
-            ev("solve_end", 1.0, status="optimal"),
+            ev("solve_end", 1.0, status="optimal", duration=1.0),
         ]:
             agg.on_event(event)
         assert reg.counter("simplex_pivots").value == 80
@@ -124,6 +124,50 @@ class TestAggregator:
         assert reg.series("incumbent_gap").last == pytest.approx(0.1)
         assert reg.histogram("solve_seconds").count == 1
         assert reg.histogram("solve_seconds").max == pytest.approx(1.0)
+
+    def test_interleaved_hubs_observe_their_own_durations(self):
+        # Worker threads share one aggregator while each job's hub runs its
+        # own clock: A spans 5 s -> 6 s, B spans 0 s -> 30 s, interleaved.
+        # Pairing end with the latest start would record 6 s and 25 s.
+        reg = MetricsRegistry()
+        agg = MetricsAggregator(reg)
+        for event in [
+            ev("solve_start", 0.0, backend="simplex"),  # B
+            ev("solve_start", 5.0, backend="simplex"),  # A
+            ev("solve_end", 6.0, status="optimal", duration=1.0),  # A
+            ev("solve_end", 30.0, status="optimal", duration=30.0),  # B
+        ]:
+            agg.on_event(event)
+        hist = reg.histogram("solve_seconds")
+        assert reg.counter("solves").value == 2
+        assert hist.count == 2
+        assert hist.min == pytest.approx(1.0) and hist.max == pytest.approx(30.0)
+
+    def test_solve_end_without_duration_is_not_timed(self):
+        reg = MetricsRegistry()
+        agg = MetricsAggregator(reg)
+        agg.on_event(ev("solve_start", 0.0))
+        agg.on_event(ev("solve_end", 2.0, status="optimal"))
+        assert reg.counter("solves").value == 1
+        assert reg.histogram("solve_seconds").count == 0
+
+    def test_solve_compiled_reports_its_own_duration(self):
+        from repro.solver import Model, solve
+        from repro.solver.telemetry import EventRecorder, Telemetry
+
+        mdl = Model()
+        x = mdl.add_var("x", lb=0.0, ub=4.0)
+        mdl.add_constr(x >= 1.0)
+        mdl.set_objective(x)
+        rec = EventRecorder()
+        reg = MetricsRegistry()
+        hub = Telemetry(listeners=[rec, MetricsAggregator(reg)])
+        solve(mdl, backend="simplex", listener=hub)
+        end = rec.of_kind("solve_end")[0]
+        # Measured on the hub's clock, which started before the solve.
+        assert 0.0 < end.data["duration"] <= end.t
+        hist = reg.histogram("solve_seconds")
+        assert hist.count == 1 and hist.max == end.data["duration"]
 
     def test_infinite_incumbent_gap_not_recorded(self):
         reg = MetricsRegistry()

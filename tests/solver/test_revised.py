@@ -261,6 +261,140 @@ class TestLoudWarmRejection:
         assert not rec.of_kind("warm_start_rejected")
 
 
+def _eq_lp(c, A_eq, b_eq, lb, ub):
+    n = len(c)
+    return CompiledProblem(
+        c=np.asarray(c, float), c0=0.0,
+        A_ub=np.zeros((0, n)), b_ub=np.zeros(0),
+        A_eq=np.asarray(A_eq, float), b_eq=np.asarray(b_eq, float),
+        lb=np.asarray(lb, float), ub=np.asarray(ub, float),
+        integrality=np.zeros(n, dtype=int), maximize=False,
+    )
+
+
+def _child(p, lb=None, ub=None):
+    """A branch-and-bound child: ``p`` with new bounds, same data objects."""
+    return CompiledProblem(
+        c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
+        lb=p.lb if lb is None else np.asarray(lb, float),
+        ub=p.ub if ub is None else np.asarray(ub, float),
+        integrality=p.integrality, maximize=p.maximize,
+    )
+
+
+class TestWarmInfeasibilityProofs:
+    """An infeasible child is proven by the warm dual repair itself: the
+    BTRAN row of the blocked leaving row is a Farkas ray, exported exactly
+    as the cold phase-1 rays are."""
+
+    @pytest.fixture
+    def directions(self, monkeypatch):
+        """Record the violation direction of every ray the dual proposes."""
+        from repro.solver.revised import _Core
+
+        seen = []
+        original = _Core.farkas_ray
+
+        def spy(core, row, over, arow):
+            ray = original(core, row, over, arow)
+            seen.append((over, ray is not None))
+            return ray
+
+        monkeypatch.setattr(_Core, "farkas_ray", spy)
+        return seen
+
+    def _assert_warm_proof(self, child, basis):
+        rec = EventRecorder()
+        res = solve_lp_simplex(child, warm_start=basis, telemetry=Telemetry(rec))
+        assert res.status is SolverStatus.INFEASIBLE
+        assert res.extra["warm"] == {"used": True, "mode": "dual"}
+        assert not rec.of_kind("warm_start_rejected")
+        report = certify_result(child, res)
+        assert report.verdict == "certified", report.to_dict()
+        assert solve_lp_simplex(child).status is SolverStatus.INFEASIBLE
+
+    def test_basic_above_its_upper_bound(self, directions):
+        # x1 + x2 = 1.5 on [0,1]^2; the parent ends with x2 = 0.5 basic.
+        # Branching x2 <= 0 leaves it above its new bound, and x1 already
+        # sits at its upper bound: no column can bring x2 down.
+        p = _eq_lp([1.0, 2.0], [[1.0, 1.0]], [1.5], lb=[0, 0], ub=[1, 1])
+        parent = solve_lp_simplex(p)
+        assert parent.x == pytest.approx([1.0, 0.5])
+        self._assert_warm_proof(_child(p, ub=[1, 0]), parent.extra["basis"])
+        assert directions == [(True, True)]
+
+    def test_basic_below_zero(self, directions):
+        # x1 + x2 = 1.5 with x1 in [0,1], x2 in [0,2]; the parent ends with
+        # x2 = 1.5 basic.  Branching x2 >= 2 shifts the row to a negative
+        # rhs, and x1 at its lower bound cannot lift x2 any higher.
+        p = _eq_lp([2.0, 1.0], [[1.0, 1.0]], [1.5], lb=[0, 0], ub=[1, 2])
+        parent = solve_lp_simplex(p)
+        assert parent.x == pytest.approx([0.0, 1.5])
+        self._assert_warm_proof(_child(p, lb=[0, 2]), parent.extra["basis"])
+        assert directions == [(False, True)]
+
+    def test_tiny_coefficient_on_unbounded_column_falls_back_cold(self, directions):
+        # Same as the upper-bound case plus x3 >= 0 with no upper bound and
+        # a coefficient below the dual's eligibility tolerance.  The dual
+        # finds no entering column, but x3 could carry the row anywhere, so
+        # the ray fails the float check and the solve falls back cold.
+        p = _eq_lp(
+            [1.0, 2.0, 1.0], [[1.0, 1.0, 1e-11]], [1.5],
+            lb=[0, 0, 0], ub=[1, 1, np.inf],
+        )
+        parent = solve_lp_simplex(p)
+        child = _child(p, ub=[1, 0, np.inf])
+        rec = EventRecorder()
+        res = solve_lp_simplex(child, warm_start=parent.extra["basis"], telemetry=Telemetry(rec))
+        assert directions == [(True, False)]
+        assert res.extra["warm"] == {"used": False, "reason": "repair_failed"}
+        events = rec.of_kind("warm_start_rejected")
+        assert len(events) == 1
+        assert events[0].data["reason"] == "repair_failed"
+        assert events[0].data["engine"] == "revised"
+
+    def test_branched_corpus_warm_and_cold_agree(self, directions):
+        # Random bounded LPs with equality rows, each branched on every
+        # variable both ways around its parent value: the warm re-solve and
+        # a cold solve must agree on which children are infeasible, and
+        # every warm proof must certify.
+        rng = np.random.default_rng(2024)
+        proofs = agree = 0
+        for _ in range(30):
+            n, m_eq, m_ub = 6, 3, 2
+            A_eq = rng.integers(-3, 4, size=(m_eq, n)).astype(float)
+            A_ub = rng.integers(-3, 4, size=(m_ub, n)).astype(float)
+            ub = rng.integers(1, 4, size=n).astype(float)
+            x0 = rng.uniform(0.0, ub)
+            p = CompiledProblem(
+                c=rng.normal(size=n), c0=0.0,
+                A_ub=A_ub, b_ub=A_ub @ x0 + rng.uniform(0.0, 1.0, size=m_ub),
+                A_eq=A_eq, b_eq=A_eq @ x0,
+                lb=np.zeros(n), ub=ub,
+                integrality=np.zeros(n, dtype=int), maximize=False,
+            )
+            parent = solve_lp_simplex(p)
+            assert parent.status is SolverStatus.OPTIMAL
+            for j in range(n):
+                down_ub, up_lb = p.ub.copy(), p.lb.copy()
+                down_ub[j] = np.floor(parent.x[j] - 0.5)
+                up_lb[j] = np.ceil(parent.x[j] + 0.5)
+                for child in (_child(p, ub=down_ub), _child(p, lb=up_lb)):
+                    if np.any(child.lb > child.ub):
+                        continue
+                    warm = solve_lp_simplex(child, warm_start=parent.extra["basis"])
+                    cold = solve_lp_simplex(child)
+                    infeasible = cold.status is SolverStatus.INFEASIBLE
+                    assert (warm.status is SolverStatus.INFEASIBLE) == infeasible
+                    agree += 1
+                    if infeasible and warm.extra["warm"]["used"]:
+                        proofs += 1
+                        assert certify_result(child, warm).verdict == "certified"
+        assert agree > 200
+        assert proofs >= 100
+        assert {over for over, _ in directions} == {True, False}
+
+
 class TestFuzzOracleRevisedBackend:
     def test_all_families_mini_campaign_certifies(self, monkeypatch):
         # The oracle solves through the default engine; pin it so the run

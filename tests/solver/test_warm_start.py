@@ -93,6 +93,48 @@ class TestSimplexBasisRoundTrip:
         assert res.extra["warm"]["reason"] == "layout_mismatch"
 
 
+class TestLayoutReuse:
+    """A warm re-solve of the same constraint data runs only the bound step
+    of standardization, on the layout its basis carries."""
+
+    def _child(self, p, ub):
+        return CompiledProblem(
+            c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
+            lb=p.lb, ub=np.asarray(ub, float), integrality=p.integrality,
+            maximize=p.maximize,
+        )
+
+    def test_child_of_same_arrays_reuses_layout(self):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
+        basis = solve_lp_simplex(p).extra["basis"]
+        res = solve_lp_simplex(self._child(p, [1.0, np.inf]), warm_start=basis)
+        sf = res.extra["standard_form"]
+        assert sf.layout is basis.layout
+        assert sf.A is basis.layout.A  # no row flipped: the matrix is shared
+        assert not sf.A.flags.writeable
+        assert res.extra["basis"].layout is basis.layout
+        assert res.objective == pytest.approx(solve_lp_simplex(self._child(p, [1.0, np.inf])).objective)
+
+    def test_equal_but_distinct_arrays_rebuild_the_layout(self):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
+        basis = solve_lp_simplex(p).extra["basis"]
+        q = p.copy()
+        res = solve_lp_simplex(q, warm_start=basis)
+        assert res.extra["warm"]["used"] is True  # matched by layout check
+        assert res.extra["standard_form"].layout is not basis.layout
+
+    def test_pickled_basis_drops_layout_and_still_warm_starts(self):
+        import pickle
+
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
+        basis = solve_lp_simplex(p).extra["basis"]
+        back = pickle.loads(pickle.dumps(basis))
+        assert back.layout is None and basis.layout is not None
+        res = solve_lp_simplex(self._child(p, [1.0, np.inf]), warm_start=back)
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.extra["warm"]["used"] is True
+
+
 class TestCyclingRegression:
     """Beale's degenerate LP cycles under naive Dantzig pricing; the
     stall-triggered switch to Bland's rule must terminate it — from a
