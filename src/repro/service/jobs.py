@@ -7,6 +7,11 @@ the *same* job to every identical concurrent submission — so state
 transitions happen under the store lock and completion is signalled
 through a per-job :class:`threading.Event` that any number of waiters
 may block on.
+
+A finished job keeps only what its views read: the request is dropped
+(``kind`` and ``backend`` stay as fields) and its event is swapped for one
+shared, already-set event, so the up to ``retain`` finished jobs a store
+keeps hold their plans and little else.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ if TYPE_CHECKING:  # annotation-only: keeps this module stdlib-importable
     from repro.solver.telemetry import Deadline
 
 __all__ = ["JobState", "Job", "JobStore"]
+
+#: The event every finished job ends up holding: already set, so a wait
+#: that starts after ``finish`` returns at once.
+_DONE = threading.Event()
+_DONE.set()
 
 
 class JobState(str, enum.Enum):
@@ -42,8 +52,10 @@ class Job:
 
     id: str
     digest: str
-    request: dict
+    request: dict | None          # the normalized request; None once finished
     state: JobState = JobState.QUEUED
+    kind: str | None = field(init=False, default=None)      # request["kind"]
+    backend: str | None = field(init=False, default=None)   # request["backend"]
     deadline: Deadline | None = None
     submitted: float = field(default_factory=time.monotonic)
     started: float | None = None
@@ -58,6 +70,11 @@ class Job:
     wall_t0: float | None = None        # time.time() when the solve started
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.request is not None:
+            self.kind = self.request.get("kind")
+            self.backend = self.request.get("backend")
+
     def finish(self, plan: dict | None = None, error: str | None = None) -> None:
         self.finished = time.monotonic()
         if error is None:
@@ -66,7 +83,11 @@ class Job:
         else:
             self.error = error
             self.state = JobState.FAILED
+        self.request = None
+        # Wake the waiters blocked on this job's own event, then share the
+        # module's set event: a later wait still returns at once.
         self.done_event.set()
+        self.done_event = _DONE
 
     @property
     def latency(self) -> float | None:
@@ -78,7 +99,7 @@ class Job:
         view = {
             "id": self.id,
             "state": self.state.value,
-            "kind": self.request.get("kind"),
+            "kind": self.kind,
             "digest": self.digest,
             "cached": self.cached,
             "coalesced": self.coalesced,
@@ -126,10 +147,18 @@ class JobStore:
             return job
 
     def _evict_locked(self) -> None:
+        """Drop the ``excess`` oldest finished jobs, walking from the
+        oldest and stopping as soon as enough are found."""
         excess = len(self._jobs) - self.retain
         if excess <= 0:
             return
-        for job_id in [jid for jid, j in self._jobs.items() if j.state.finished][:excess]:
+        victims = []
+        for job_id, job in self._jobs.items():
+            if job.state.finished:
+                victims.append(job_id)
+                if len(victims) == excess:
+                    break
+        for job_id in victims:
             del self._jobs[job_id]
 
     def get(self, job_id: str) -> Job | None:

@@ -132,9 +132,9 @@ class PlanningService:
         self._workers: list[threading.Thread] = []
         self._closed = False
         self._started = time.monotonic()
-        # Solver events from every worker fold into the shared registry.
-        # Concurrent solves make the start/end pairing approximate; the
-        # counters themselves stay exact.
+        # Solver events from every worker fold into the shared registry;
+        # each solve_end carries its own duration, so concurrent solves
+        # keep every counter and histogram exact.
         self._aggregator = MetricsAggregator(self.registry)
         self._latency = self.registry.histogram("service_job_latency_s", _LATENCY_BUCKETS)
         self._solve_latency = self.registry.histogram("service_solve_s", _LATENCY_BUCKETS)
@@ -279,6 +279,7 @@ class PlanningService:
 
         from .executor import degraded_request, execute_request
 
+        request = job.request   # finish() drops it from the job
         job.state = JobState.RUNNING
         job.started = time.monotonic()
         recorder = EventRecorder() if self.config.capture_dir else None
@@ -300,14 +301,14 @@ class PlanningService:
             # The job's span context becomes ambient for the solve: any
             # parallel_map fan-out inherits it (child spans, sampling).
             with activate(job.trace):
-                payload = execute_request(job.request, time_limit=remaining,
+                payload = execute_request(request, time_limit=remaining,
                                           listener=hub)
             self._finish_job(job, plan=payload)
         except RuntimeError as exc:
             if job.deadline is not None and job.deadline.expired():
                 # Budget gone (possibly entirely to queue wait): answer with
                 # the heuristic plan rather than an error, marked honestly.
-                payload = degraded_request(job.request)
+                payload = degraded_request(request)
                 payload["status"] = "time_limit"
                 job.degraded = payload["degraded"]
                 self._finish_job(job, plan=payload)
@@ -347,9 +348,9 @@ class PlanningService:
             extra["trace"] = {**job.trace.to_dict(), "parent_span_id": job.trace_parent}
         manifest = RunManifest.from_run(
             "service",
-            f"{job.request['kind']}:{job.id}",
+            f"{job.kind}:{job.id}",
             result=result,
-            config={"backend": job.request["backend"], "digest": job.digest,
+            config={"backend": job.backend, "digest": job.digest,
                     "degraded": job.degraded},
             recorded_events=recorder.events,
             deadline_budget=(

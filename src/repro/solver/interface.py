@@ -123,10 +123,7 @@ def solve_compiled(
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
     telemetry = Telemetry.from_listener(listener)
-    if isinstance(deadline, (int, float)):
-        deadline = Deadline(float(deadline))
-    if deadline is None and time_limit is not None:
-        deadline = Deadline(float(time_limit))
+    deadline = Deadline.from_budget(deadline, time_limit)
 
     if telemetry:
         solve_t0 = telemetry.now()

@@ -125,6 +125,18 @@ class Deadline:
         self._start = clock()
 
     @classmethod
+    def from_budget(cls, deadline: "Deadline | float | None" = None,
+                    time_limit: float | None = None) -> "Deadline | None":
+        """The ``deadline``/``time_limit`` arguments of a solve entry point
+        as one deadline: a ``Deadline`` passes through, a number of seconds
+        (either argument) starts a fresh one, neither means none."""
+        if isinstance(deadline, (int, float)):
+            return cls(float(deadline))
+        if deadline is None and time_limit is not None:
+            return cls(float(time_limit))
+        return deadline
+
+    @classmethod
     def never(cls) -> "Deadline":
         """A deadline that never expires (identity element for threading)."""
         return cls(math.inf)

@@ -26,7 +26,7 @@ from repro.fleet.tenants import SLAS
 #          per-tenant chi as one "0"/"1" character per slot)
 FLEETS = {
     0: (
-        "18296877238813695748037616812223911337/166153499473114484112975882535043072",
+        "18296877238813696338333427170929563049/166153499473114484112975882535043072",
         4, 1, 4,
         (
             "100100100100100100100100",

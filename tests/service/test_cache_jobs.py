@@ -94,6 +94,73 @@ class TestJobStore:
         assert store.get(pending.id) is pending
         assert len(store) == 2
 
+    def test_retention_walks_from_oldest_and_stops_early(self):
+        store = JobStore(retain=4)
+        pending = store.create("sha256:" + "0" * 64, {})
+        done = [store.create("sha256:" + f"{i}" * 64, {}) for i in range(1, 4)]
+        for job in done:
+            job.finish(plan={})
+
+        class Unread:
+            @property
+            def finished(self):
+                raise AssertionError("eviction read past the jobs it needed")
+
+        # One job over retain: eviction must stop at the first finished job
+        # after the pending one, never reaching the newer ones.
+        done[1].state = done[2].state = Unread()
+        store.create("sha256:" + "4" * 64, {})
+        assert store.get(done[0].id) is None
+        assert store.get(pending.id) is pending
+        assert store.get(done[1].id) is done[1] and store.get(done[2].id) is done[2]
+
+    def test_retention_evicts_oldest_finished_first(self):
+        store = JobStore(retain=2)
+        jobs = [store.create("sha256:" + f"{i}" * 64, {}) for i in range(4)]
+        jobs[1].finish(plan={})
+        jobs[3].finish(plan={})
+        jobs[0].finish(plan={})
+        extra = store.create("sha256:" + "5" * 64, {})
+        # three over retain, but only the three finished jobs may go: the
+        # oldest first (0, 1, 3), while unfinished job 2 survives
+        assert [store.get(j.id) for j in jobs] == [None, None, jobs[2], None]
+        assert store.get(extra.id) is extra
+
+    def test_finished_job_drops_request_but_keeps_views(self):
+        store = JobStore()
+        job = store.create("sha256:" + "0" * 64, {"kind": "drrp", "backend": "simplex"})
+        job.finish(plan={"status": "optimal"})
+        assert job.request is None
+        assert job.kind == "drrp" and job.backend == "simplex"
+        assert job.to_dict()["kind"] == "drrp"
+
+    def test_waiter_blocked_before_finish_wakes(self):
+        job = JobStore().create("sha256:" + "0" * 64, {"kind": "drrp"})
+        woke = threading.Event()
+        blocked = threading.Event()
+
+        def waiter():
+            event = job.done_event
+            blocked.set()
+            if event.wait(10.0):
+                woke.set()
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        assert blocked.wait(10.0)
+        job.finish(plan={})
+        t.join(10.0)
+        assert woke.is_set()
+
+    def test_wait_after_finish_returns_at_once(self):
+        a = JobStore().create("sha256:" + "0" * 64, {})
+        b = JobStore().create("sha256:" + "1" * 64, {})
+        a.finish(plan={})
+        b.finish(error="boom")
+        assert a.done_event.wait(0) and b.done_event.wait(0)
+        # finished jobs share one set event instead of keeping their own
+        assert a.done_event is b.done_event
+
     def test_counts_by_state(self):
         store = JobStore()
         store.create("sha256:" + "0" * 64, {})

@@ -154,6 +154,18 @@ class TestServiceCore:
         events = (out / "events.jsonl").read_text().splitlines()
         assert events and all(json.loads(line)["kind"] for line in events)
 
+    def test_capture_records_kind_and_backend_after_finish(self, tmp_path):
+        # The finished job no longer holds its request; the manifest reads
+        # the kind and backend the job kept.
+        config = ServiceConfig(workers=1, capture_dir=str(tmp_path))
+        with PlanningService(config) as svc:
+            _, body = svc.submit({**other(82), "backend": "simplex"})
+            job = wait_done(svc, body["job"]["id"])
+        assert job.request is None
+        manifest = json.loads((tmp_path / job.id / "manifest.json").read_text())
+        assert manifest["config"]["backend"] == "simplex"
+        assert manifest["name"] == f"drrp:{job.id}"
+
 
 class TestHTTPEndpoints:
     def test_healthz(self, live):
