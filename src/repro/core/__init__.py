@@ -3,7 +3,7 @@
 from .costs import CostSchedule, on_demand_schedule, spot_schedule
 from .demand import BurstyDemand, ConstantDemand, DemandModel, DiurnalDemand, NormalDemand
 from .drrp import DRRPInstance, RentalPlan, build_drrp_model, solve_drrp
-from .lotsizing import solve_wagner_whitin
+from .lotsizing import solve_srrp_tree_dp, solve_wagner_whitin
 from .noplan import solve_noplan
 from .scenario import (
     ScenarioNode,
@@ -74,6 +74,7 @@ __all__ = [
     "SRRPPlan",
     "build_srrp_model",
     "solve_srrp",
+    "solve_srrp_tree_dp",
     "validate_nonanticipativity",
     "DeterministicPolicy",
     "NoPlanPolicy",

@@ -21,13 +21,11 @@ LP relaxation tight and branch-and-bound shallow.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.solver import Deadline, Model, SolverStatus, Telemetry, lin_sum, solve
+from repro.solver import Model, SolverStatus, lin_sum, solve
 from .costs import CostSchedule
 
 __all__ = ["DRRPInstance", "RentalPlan", "build_drrp_model", "solve_drrp"]
@@ -248,8 +246,13 @@ def solve_drrp(
         and instance.bottleneck_rate is None
         and solve_kwargs.get("bb_options") is None
     ):
-        return _solve_lot_sizing(
+        from .lotsizing import run_exact_dp, solve_wagner_whitin
+
+        return run_exact_dp(
+            solve_wagner_whitin,
             instance,
+            "wagner-whitin",
+            "solve_drrp",
             listener=solve_kwargs.get("listener"),
             deadline=solve_kwargs.get("deadline"),
             time_limit=solve_kwargs.get("time_limit"),
@@ -268,9 +271,9 @@ def solve_drrp(
     res = solve(model, backend=backend, **solve_kwargs)
     if not res.status.has_solution:
         if res.status is SolverStatus.TIME_LIMIT and instance.bottleneck_rate is None:
-            from .lotsizing import solve_wagner_whitin
+            from .lotsizing import solve_wagner_whitin, time_limit_fallback
 
-            return _time_limit_fallback(solve_wagner_whitin(instance))
+            return time_limit_fallback(solve_wagner_whitin(instance), "wagner-whitin")
         raise RuntimeError(f"DRRP solve failed with status {res.status.value}")
     # LP vertices can carry -1e-17 noise on nonnegative variables; clamp so
     # downstream consumers (e.g. chaining beta[-1] into the next instance's
@@ -296,56 +299,3 @@ def solve_drrp(
             "wall_time": res.extra.get("wall_time"),
         },
     )
-
-
-def _solve_lot_sizing(instance, listener=None, deadline=None, time_limit=None) -> RentalPlan:
-    """The ``auto`` path for uncapacitated DRRP: the exact Wagner-Whitin DP.
-
-    Emits the events a MILP solve would (``solve_start``, one phase,
-    ``solve_end``), so counters and traces see it as one solve.  A budget
-    already spent on entry gives the same ``TIME_LIMIT`` fallback plan the
-    MILP path returns when its deadline expires before any incumbent.
-    """
-    from .lotsizing import solve_wagner_whitin
-
-    telemetry = Telemetry.from_listener(listener)
-    deadline = Deadline.from_budget(deadline, time_limit)
-    expired = deadline is not None and deadline.expired()
-    if telemetry:
-        solve_t0 = telemetry.now()
-        telemetry.emit(
-            "solve_start",
-            backend="auto",
-            method="wagner-whitin",
-            horizon=instance.horizon,
-            budget=deadline.remaining() if deadline is not None else None,
-        )
-        if expired:
-            telemetry.emit("deadline_exceeded", where="solve_drrp")
-    with telemetry.phase("wagner_whitin") if telemetry else nullcontext():
-        start = time.perf_counter()
-        plan = solve_wagner_whitin(instance)
-        wall = time.perf_counter() - start
-    if expired:
-        plan = _time_limit_fallback(plan)
-    else:
-        plan.extra.update(nodes=0, iterations=0, wall_time=wall)
-    if telemetry:
-        telemetry.emit(
-            "solve_end",
-            status=plan.status.value,
-            objective=plan.objective,
-            nodes=0,
-            iterations=0,
-            duration=telemetry.now() - solve_t0,
-        )
-    return plan
-
-
-def _time_limit_fallback(plan: RentalPlan) -> RentalPlan:
-    """Mark a Wagner-Whitin plan as the answer of a solve whose budget ran
-    out before it found any incumbent."""
-    plan.status = SolverStatus.TIME_LIMIT
-    plan.extra["fallback"] = "wagner-whitin"
-    plan.extra["solver_status"] = SolverStatus.TIME_LIMIT.value
-    return plan

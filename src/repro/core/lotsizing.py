@@ -1,36 +1,62 @@
-"""Wagner–Whitin dynamic program for the uncapacitated lot-sizing core.
+"""Exact dynamic programs for the uncapacitated lot-sizing cores of DRRP
+and SRRP, and the solve contract their ``backend="auto"`` paths share.
 
 The paper observes that DRRP "is consistent with the dynamic lot-sizing
 problem".  With the bottleneck constraint omitted (as in §V-A) and linear
 costs, DRRP *is* uncapacitated single-item lot-sizing, for which the
 Wagner–Whitin zero-inventory-ordering property holds: some optimal plan
 generates data only when (net) incoming inventory is zero, each generation
-covering a contiguous run of future demand.
+covering a contiguous run of future demand.  SRRP as built omits the same
+rows, so it is stochastic uncapacitated lot-sizing on the price tree, and
+the production-path property of Guan & Miller ("Polynomial-time algorithms
+for stochastic uncapacitated lot-sizing problems", Operations Research
+56(5), 2008) plays the same role: some optimal policy that generates at a
+vertex raises its stock to exactly cover the demand down to one
+descendant.  Demand depends only on the stage, so that stock always covers
+a contiguous run of stages and the tree DP costs O(n·T) over n vertices.
 
-Initial inventory ε is handled by the standard netting transformation:
-greedy consumption of ε against the earliest demand is optimal (holding
-costs are nonnegative), splits total inventory into a constant ε part and
-the produced part, and leaves a zero-initial-inventory problem on the *net*
-demands — over which production may still occur in **any** slot, including
-slots whose own net demand is zero (producing early at a cheap setup can
-beat producing at the first uncovered slot; the MILP cross-check property
-test pins this case down).
+Initial inventory ε is handled by the standard netting transformation
+(:func:`_net_demand`): greedy consumption of ε against the earliest demand
+is optimal (holding costs are nonnegative), splits total inventory into a
+constant ε part and the produced part, and leaves a zero-initial-inventory
+problem on the *net* demands — over which production may still occur in
+**any** slot, including slots whose own net demand is zero (producing early
+at a cheap setup can beat producing at the first uncovered slot; the MILP
+cross-check property test pins this case down).
 
-That yields an exact O(T²) DP — used both as an independent oracle for the
-MILP (they must agree to numerical tolerance on every instance) and as a
-fast solver path for long deterministic horizons.
+Both DPs are used as independent oracles for the MILPs (they must agree to
+numerical tolerance on every instance) and as the exact ``auto`` solver
+paths; :func:`run_exact_dp` gives those paths the events and deadline
+semantics of a MILP solve.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
+
 import numpy as np
 
-from repro.solver import SolverStatus
+from repro.solver import Deadline, SolverStatus, Telemetry
 from .drrp import DRRPInstance, RentalPlan
+from .srrp import SRRPInstance, SRRPPlan
 
-__all__ = ["solve_wagner_whitin"]
+__all__ = ["solve_wagner_whitin", "solve_srrp_tree_dp", "run_exact_dp", "time_limit_fallback"]
 
 _EPS = 1e-12
+
+
+def _net_demand(demand: np.ndarray, initial_storage: float) -> np.ndarray:
+    """Per-slot demand left after ε is consumed greedily from the front."""
+    net = np.asarray(demand, dtype=float).copy()
+    carry = initial_storage
+    for t in range(net.shape[0]):
+        if carry <= _EPS:
+            break
+        used = min(carry, net[t])
+        net[t] -= used
+        carry -= used
+    return net
 
 
 def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
@@ -52,16 +78,7 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
     unit_gen = c.transfer_in * phi
     setup = c.compute
 
-    # Net demands after ε is consumed greedily from the front.
-    demand = instance.demand.astype(float).copy()
-    carry = instance.initial_storage
-    for t in range(T):
-        if carry <= _EPS:
-            break
-        used = min(carry, demand[t])
-        demand[t] -= used
-        carry -= used
-
+    demand = _net_demand(instance.demand, instance.initial_storage)
     cum = np.concatenate([[0.0], np.cumsum(demand)])
     hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
 
@@ -130,3 +147,161 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
         vm_name=instance.vm_name,
         extra={"scheme": "wagner-whitin"},
     )
+
+
+def solve_srrp_tree_dp(instance: SRRPInstance) -> SRRPPlan:
+    """Exact production-path DP for SRRP on its scenario tree, O(n·T).
+
+    At a vertex v of depth t the state is k ∈ [t, T]: the produced stock
+    arriving at v covers the net demand of stages [t, k).  G(v, k) is the
+    probability-weighted cost of v's subtree.  v either holds — allowed
+    when k > t or its net demand is zero — and hands its children the
+    state max(k, t+1), or generates up to some k' > k, paying
+    p_v·(Cp_v + C+f·Φ·(Cum[k'] − Cum[k])), and hands them k'.  Both add
+    the holding cost p_v·h_t·(Cum[k''] − Cum[t+1]) of the state k'' passed
+    down.  Generating is separable in k', so one suffix-minimum pass
+    prices every state of v in O(T).
+
+    The policy is rebuilt top-down, β against the original demand (which
+    re-absorbs ε), and ``expected_cost`` is objective (13) of that policy.
+
+    Exact when every vertex price is nonnegative.  A negative price makes
+    renting with α = 0 pay, which no production-path policy does: the plan
+    for such a tree is feasible but may cost more than the optimum.
+    """
+    tree = instance.tree
+    nodes = tree.nodes
+    T = instance.horizon
+    c = instance.costs
+    cum = [0.0]
+    for d in _net_demand(instance.demand, instance.initial_storage).tolist():
+        cum.append(cum[-1] + d)
+    unit = (c.transfer_in * instance.phi).tolist()
+    holding = c.holding.tolist()
+    n = len(nodes)
+    order = sorted(range(n), key=lambda v: nodes[v].depth)
+
+    # Per vertex, indexed by k - depth: G(v, k), the state handed to the
+    # children, and whether v generates.
+    value: list = [None] * n
+    handed: list = [None] * n
+    generates: list = [None] * n
+    for v in reversed(order):
+        node = nodes[v]
+        t, p = node.depth, node.abs_prob
+        # leave[j]: cost of leaving v with state t+1+j — holding plus the
+        # children's subtrees (a child of depth t+1 is indexed the same way).
+        ph, base = p * holding[t], cum[t + 1]
+        leave = [ph * (cum[k] - base) for k in range(t + 1, T + 1)]
+        for child in node.children:
+            for j, g in enumerate(value[child]):
+                leave[j] += g
+        pu, setup = p * unit[t], p * node.price
+        hold_free = cum[t + 1] - cum[t] <= _EPS
+        G = [0.0] * (T - t + 1)
+        K = [T] * (T - t + 1)
+        X = [False] * (T - t + 1)
+        G[T - t] = leave[T - t - 1]
+        best, best_k = float("inf"), T
+        for k in range(T - 1, t - 1, -1):
+            j = k - t
+            # suffix minimum of pu·Cum[k'] + leave(k') over k' > k; on a
+            # tie the smaller k' wins
+            candidate = pu * cum[k + 1] + leave[j]
+            if candidate <= best:
+                best, best_k = candidate, k + 1
+            produce = setup + best - pu * cum[k]
+            hold = leave[max(j - 1, 0)] if k > t or hold_free else float("inf")
+            if produce < hold:
+                G[j], K[j], X[j] = produce, best_k, True
+            else:
+                G[j], K[j] = hold, max(k, t + 1)
+        value[v], handed[v], generates[v] = G, K, X
+
+    demand = instance.demand.tolist()
+    tout = c.transfer_out.tolist()
+    alpha = [0.0] * n
+    beta = [0.0] * n
+    chi = [0.0] * n
+    state = [node.depth for node in nodes]
+    expected = 0.0
+    for v in order:
+        node = nodes[v]
+        t = node.depth
+        j = state[v] - t
+        k = handed[v][j]
+        if generates[v][j]:
+            alpha[v] = cum[k] - cum[state[v]]
+            chi[v] = 1.0
+        prev = instance.initial_storage if node.parent < 0 else beta[node.parent]
+        beta[v] = max(prev + alpha[v] - demand[t], 0.0)
+        for child in node.children:
+            state[child] = k
+        expected += node.abs_prob * (
+            unit[t] * alpha[v] + holding[t] * beta[v] + node.price * chi[v] + tout[t] * demand[t]
+        )
+    return SRRPPlan(
+        alpha=np.array(alpha),
+        beta=np.array(beta),
+        chi=np.array(chi),
+        expected_cost=expected,
+        status=SolverStatus.OPTIMAL,
+        tree=tree,
+        vm_name=instance.vm_name,
+        extra={"scheme": "tree-dp", "tree_size": n},
+    )
+
+
+def run_exact_dp(dp, instance, method: str, where: str, listener=None, deadline=None,
+                 time_limit=None):
+    """``dp(instance)`` under the contract of a MILP solve on ``auto``.
+
+    Emits the events a MILP solve would (``solve_start``, one phase named
+    after ``method``, ``solve_end``), so counters and traces see it as one
+    solve, and records ``nodes=0``, ``iterations=0`` and ``wall_time`` in
+    the plan's ``extra``.  A budget already spent on entry gives the same
+    :func:`time_limit_fallback` plan the MILP paths return when their
+    deadline expires before any incumbent; ``where`` names the entry point
+    in that case's ``deadline_exceeded`` event.
+    """
+    telemetry = Telemetry.from_listener(listener)
+    deadline = Deadline.from_budget(deadline, time_limit)
+    expired = deadline is not None and deadline.expired()
+    if telemetry:
+        solve_t0 = telemetry.now()
+        telemetry.emit(
+            "solve_start",
+            backend="auto",
+            method=method,
+            horizon=instance.horizon,
+            budget=deadline.remaining() if deadline is not None else None,
+        )
+        if expired:
+            telemetry.emit("deadline_exceeded", where=where)
+    with telemetry.phase(method.replace("-", "_")) if telemetry else nullcontext():
+        start = time.perf_counter()
+        plan = dp(instance)
+        wall = time.perf_counter() - start
+    if expired:
+        plan = time_limit_fallback(plan, method)
+    else:
+        plan.extra.update(nodes=0, iterations=0, wall_time=wall)
+    if telemetry:
+        telemetry.emit(
+            "solve_end",
+            status=plan.status.value,
+            objective=plan.objective,
+            nodes=0,
+            iterations=0,
+            duration=telemetry.now() - solve_t0,
+        )
+    return plan
+
+
+def time_limit_fallback(plan, method: str):
+    """Mark a DP plan as the answer of a solve whose budget ran out before
+    it found any incumbent."""
+    plan.status = SolverStatus.TIME_LIMIT
+    plan.extra["fallback"] = method
+    plan.extra["solver_status"] = SolverStatus.TIME_LIMIT.value
+    return plan

@@ -94,6 +94,11 @@ class SRRPPlan:
     extra: dict = field(default_factory=dict)
 
     @property
+    def objective(self) -> float:
+        """Objective (13), under the name a :class:`RentalPlan` uses."""
+        return self.expected_cost
+
+    @property
     def first_alpha(self) -> float:
         return float(self.alpha[0])
 
@@ -228,17 +233,56 @@ def build_srrp_model(instance: SRRPInstance) -> tuple[Model, dict[str, list]]:
 
 
 def solve_srrp(instance: SRRPInstance, backend: str = "auto", **solve_kwargs) -> SRRPPlan:
-    """Solve the deterministic equivalent and extract the recourse policy.
+    """Solve SRRP and extract the recourse policy.
+
+    Under ``backend="auto"`` a tree whose vertex prices are all
+    nonnegative (and no ``bb_options``) is stochastic uncapacitated
+    lot-sizing, which the production-path tree DP
+    (:func:`~repro.core.lotsizing.solve_srrp_tree_dp`) solves exactly in
+    O(n·T); that policy is returned with status ``OPTIMAL`` and no MILP is
+    built.  Every other case — an explicit backend, a negative price,
+    ``bb_options`` — solves the deterministic-equivalent MILP.
 
     ``solve_kwargs`` forward to :func:`repro.solver.solve`, so
     ``listener=`` (telemetry events) and ``deadline=``/``time_limit=``
     (wall-clock budget) work here exactly as on the raw solver: an expired
     deadline yields the best incumbent policy with status ``FEASIBLE``
-    rather than hanging on a large scenario tree.
+    rather than hanging on a large scenario tree.  The tree DP reports
+    through the same events: one ``solve_start``/``solve_end`` pair around
+    one ``tree_dp`` phase.
+
+    A deadline that expires before *any* incumbent is found (e.g.
+    ``time_limit=0``) does not raise: the tree-DP policy is returned with
+    status ``TIME_LIMIT`` and ``extra["fallback"] == "tree-dp"``.
+
+    Raises
+    ------
+    RuntimeError
+        If the MILP terminates without a solution for any other reason
+        (SRRP with nonnegative demand and free inventory is always
+        feasible, so this indicates a solver failure).
     """
+    from .lotsizing import run_exact_dp, solve_srrp_tree_dp, time_limit_fallback
+
+    if (
+        backend == "auto"
+        and solve_kwargs.get("bb_options") is None
+        and all(node.price >= 0 for node in instance.tree.nodes)
+    ):
+        return run_exact_dp(
+            solve_srrp_tree_dp,
+            instance,
+            "tree-dp",
+            "solve_srrp",
+            listener=solve_kwargs.get("listener"),
+            deadline=solve_kwargs.get("deadline"),
+            time_limit=solve_kwargs.get("time_limit"),
+        )
     model, vars_ = build_srrp_model(instance)
     res = solve(model, backend=backend, **solve_kwargs)
     if not res.status.has_solution:
+        if res.status is SolverStatus.TIME_LIMIT:
+            return time_limit_fallback(solve_srrp_tree_dp(instance), "tree-dp")
         raise RuntimeError(f"SRRP solve failed with status {res.status.value}")
     alpha = np.maximum(np.array([res.value_of(v) for v in vars_["alpha"]]), 0.0)
     beta = np.maximum(np.array([res.value_of(v) for v in vars_["beta"]]), 0.0)

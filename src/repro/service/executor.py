@@ -11,14 +11,15 @@ Two paths:
     budget onto the solver's :class:`~repro.solver.telemetry.Deadline`,
     and returns the JSON plan payload.  DRRP solves run warm-started so
     an expired budget still yields the Wagner-Whitin incumbent (status
-    ``time_limit``) instead of an error.
+    ``time_limit``) instead of an error; an SRRP solve falls back to the
+    tree-DP policy the same way.
 
 :func:`degraded_request`
-    The overload/expiry fallback: polynomial-time heuristics only, no
-    queueing and no MILP.  Uncapacitated DRRP gets Wagner-Whitin (exact
-    for that subclass); everything else gets the no-plan scheme over a
-    deterministic cost view (for SRRP, stage-expected compute prices).
-    The returned payload carries ``degraded`` naming the heuristic.
+    The overload/expiry fallback: polynomial-time planners only, no
+    queueing and no MILP.  Uncapacitated DRRP gets Wagner-Whitin and SRRP
+    the production-path tree DP (both exact, and an SRRP answer stays
+    vertex-indexed like a solved one); capacitated DRRP gets the no-plan
+    scheme.  The returned payload carries ``degraded`` naming the planner.
 """
 
 from __future__ import annotations
@@ -86,51 +87,22 @@ def _fleet_request(request: dict, listener=None, escalate: bool = True) -> dict:
     return payload
 
 
-def _expected_stage_prices(tree_payload: dict) -> list[float]:
-    """Per-slot expected compute price of a normalized tree payload."""
-    prices = [float(tree_payload["root_price"])]
-    for stage in tree_payload["stages"]:
-        prices.append(
-            sum(v * p for v, p in zip(stage["values"], stage["probs"]))
-        )
-    return prices
-
-
 def degraded_request(request: dict) -> dict:
-    """Heuristic plan for one normalized request (see module docstring)."""
-    import numpy as np
-
-    from repro.core import CostSchedule, DRRPInstance, solve_noplan, solve_wagner_whitin
+    """Polynomial-time plan for one normalized request (see module docstring)."""
+    from repro.core import solve_noplan, solve_srrp_tree_dp, solve_wagner_whitin
 
     if request["kind"] == "fleet":
         payload = _fleet_request(request, escalate=False)
         payload["degraded"] = "heuristic-only"
         return payload
 
-    inst = request["instance"]
-    costs = CostSchedule(**{f: np.asarray(v) for f, v in inst["costs"].items()})
+    instance = build_instance(request)
     if request["kind"] == "srrp":
-        costs = costs.with_compute(np.asarray(_expected_stage_prices(inst["tree"])))
-    drrp = DRRPInstance(
-        demand=np.asarray(inst["demand"]),
-        costs=costs,
-        phi=inst["phi"],
-        initial_storage=inst["initial_storage"],
-        vm_name=inst["vm_name"],
-    )
-    if request["kind"] == "drrp" and "bottleneck_rate" not in inst:
-        plan = solve_wagner_whitin(drrp)
-        heuristic = "wagner-whitin"
+        plan, planner = solve_srrp_tree_dp(instance), "tree-dp"
+    elif instance.bottleneck_rate is None:
+        plan, planner = solve_wagner_whitin(instance), "wagner-whitin"
     else:
-        plan = solve_noplan(drrp)
-        heuristic = "no-plan"
-    payload = plan_payload("drrp", plan)
-    payload["kind"] = request["kind"]
-    payload["degraded"] = heuristic
-    if request["kind"] == "srrp":
-        # The heuristic plans against expected prices; report its cost in
-        # the same (expected) sense SRRP minimizes.
-        payload["expected_cost"] = payload.pop("total_cost")
-        payload["first_alpha"] = payload["alpha"][0]
-        payload["first_chi"] = bool(payload["chi"][0])
+        plan, planner = solve_noplan(instance), "no-plan"
+    payload = plan_payload(request["kind"], plan)
+    payload["degraded"] = planner
     return payload

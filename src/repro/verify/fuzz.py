@@ -192,10 +192,14 @@ def _certify_case(case: GeneratedCase, tol: float) -> tuple[bool, bool]:
         )
         return cuts_ok, False
     if isinstance(inst, SRRPInstance):
-        plan = solve_srrp(inst, backend="auto")
-        report = certify_srrp_plan(inst, plan, tol=tol)
-        matches = case.optimum is None or abs(plan.expected_cost - case.optimum) <= tol * (1 + abs(case.optimum))
-        return bool(report.ok and matches), False
+        # As for DRRP: the MILP on an explicit backend, then the "auto"
+        # tree DP, each certified and each held to the planted optimum.
+        def certified_srrp(plan) -> bool:
+            matches = case.optimum is None or abs(plan.expected_cost - case.optimum) <= tol * (1 + abs(case.optimum))
+            return certify_srrp_plan(inst, plan, tol=tol).ok and matches
+
+        milp = solve_srrp(inst, backend="scipy" if scipy_available() else "simplex")
+        return certified_srrp(milp) and certified_srrp(solve_srrp(inst, backend="auto")), False
     from .generators import FleetPoolCase
 
     if isinstance(inst, FleetPoolCase):

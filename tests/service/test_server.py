@@ -4,6 +4,7 @@ import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -18,6 +19,18 @@ from repro.service import (
 
 DRRP = {"kind": "drrp", "vm": "c1.medium", "horizon": 5, "seed": 1,
         "demand_mean": 0.4, "demand_std": 0.1}
+
+
+def srrp_payload(T=3):
+    return {"kind": "srrp", "instance": {
+        "demand": [0.3] * T,
+        "costs": {"compute": [0.4] * T, "storage": [0.0001] * T,
+                  "io": [0.2] * T, "transfer_in": [0.1] * T,
+                  "transfer_out": [0.17] * T},
+        "phi": 0.5, "vm_name": "s",
+        "tree": {"root_price": 0.1,
+                 "stages": [{"values": [0.1, 0.4], "probs": [0.5, 0.5]}
+                            for _ in range(T - 1)]}}}
 
 
 def other(seed):
@@ -104,6 +117,29 @@ class TestServiceCore:
             status, _ = svc.submit({**other(52), "on_overload": "degrade"})
             assert status == 200
             assert svc.cache.hits == 0
+
+    def test_degraded_srrp_is_vertex_indexed_and_exact(self):
+        from repro.core import SRRPPlan, solve_srrp_tree_dp
+        from repro.solver import SolverStatus
+        from repro.service.encoding import build_instance, normalize_request
+
+        payload = {**srrp_payload(4), "on_overload": "degrade"}
+        instance = build_instance(normalize_request(payload))
+        with PlanningService(ServiceConfig(workers=0, queue_size=1)) as svc:
+            svc.submit(other(81))
+            for _ in range(2):
+                status, body = svc.submit(payload)
+                assert status == 200
+                plan = body["plan"]
+                assert plan["degraded"] == "tree-dp"
+                n = instance.tree.num_nodes
+                assert len(plan["alpha"]) == len(plan["beta"]) == len(plan["chi"]) == n
+                SRRPPlan(alpha=np.array(plan["alpha"]), beta=np.array(plan["beta"]),
+                         chi=np.array(plan["chi"], dtype=float),
+                         expected_cost=plan["expected_cost"], status=SolverStatus.OPTIMAL,
+                         tree=instance.tree).validate(instance)
+                assert plan["expected_cost"] == solve_srrp_tree_dp(instance).expected_cost
+            assert len(svc.cache) == 0 and svc.cache.hits == 0
 
     def test_expired_deadline_still_yields_a_plan(self, service):
         # A budget that expires in the queue still answers with a usable
