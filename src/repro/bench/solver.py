@@ -17,7 +17,7 @@ Three seeded workloads, all deterministic given the config:
 * **large** — a 200+ var / 60+ row wide multi-class DRRP allocation LP
   (columns dominate rows, the regime production models grow into) solved
   cold once plus a deterministic branching-style sequence of warm
-  re-solves, once per pivot engine.  The tableau/revised wall-clock ratio
+  re-solves, per pivot engine, best of :data:`BEST_OF` alternating runs.  The tableau/revised wall-clock ratio
   on the *same* instance sequence and machine is hardware-independent and
   is gated at ``LARGE_TIER_MIN_SPEEDUP`` — the revised engine must stay
   >= 3x faster than the dense tableau it replaced.
@@ -29,15 +29,30 @@ warm-to-cold throughput on the *same* machine cancels hardware speed, so
 the gate transfers between laptops and runners (see
 :func:`check_solver_regression` and ``docs/performance.md``).
 
-On a single-CPU host the parallel Benders leg cannot beat serial (there
-is nothing to fan out onto); the record keeps the measured speedup and
-``cpu_count`` so readers and the regression gate can tell "no cores"
-from "regression".
+On a host that delivers one CPU the parallel Benders leg cannot beat
+serial (there is nothing to fan out onto), and a host can advertise more
+CPUs than it delivers: an oversubscribed VM's two vCPUs may run two
+processes at the speed of one.  So the bench measures what it gets.
+A calibration round times a fixed pure-Python kernel once in-process
+(``t_single``) and once per worker at the same time on the shared pool
+the parallel leg runs on (``wall``).  The serial and parallel Benders
+legs run :data:`BEST_OF` times each, alternating, and keep their best
+wall time; calibration rounds bracket every parallel run, after one
+untimed round that builds the pool.  The delivered parallelism,
+``cpu_parallelism``, is ``workers * t_single / wall`` with the best
+``t_single`` (the kernel's uncontended cost) and the slowest ``wall``
+(the least the host gave while the legs ran).  The record's
+``cpu_count`` counts the CPUs in that score that the pool got at least
+90% of (``floor(score + DELIVERED_CPU_SLACK)``), clamped to
+``[1, os.cpu_count()]``; the advertised count is kept as
+``cpu_count_advertised``.  Readers and the
+regression gate use ``cpu_count`` to tell "no cores" from "regression".
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace as dc_replace
@@ -46,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.spans import span
-from repro.parallel.pool import default_workers
+from repro.parallel.pool import default_workers, parallel_map
 from repro.solver import BranchAndBoundOptions, SolverStatus, solve_compiled
 from repro.solver.benders import BendersOptions, Scenario, TwoStageProblem, solve_benders
 from repro.solver.model import CompiledProblem
@@ -72,6 +87,21 @@ LARGE_TIER_MIN_SPEEDUP = 3.0
 #: whose tier was large.
 LARGE_TIER_MIN_VARS = 200
 LARGE_TIER_MIN_ROWS = 60
+
+#: Runs of each leg whose wall-time ratio is gated (the large-tier
+#: engines, serial and parallel Benders), alternating; the best
+#: (shortest) wall time of each counts, so one noisy run cannot decide a
+#: gated ratio.
+BEST_OF = 3
+#: Iterations of the calibration kernel: tens of milliseconds of
+#: pure-Python work on a current server core, long enough that pool
+#: dispatch is noise next to it.
+CALIBRATION_LOOPS = 200_000
+#: A CPU counts as delivered when the pool got at least 90% of it; the
+#: slack absorbs dispatch and timer noise on a host whose CPUs are whole.
+#: Two workers that share 1.5 CPUs get one CPU and a slice, and a Benders
+#: fan-out of a few milliseconds cannot count on the slice.
+DELIVERED_CPU_SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -318,6 +348,24 @@ def _benders_leg(tsp: TwoStageProblem, workers: int,
     }
 
 
+def _spin(loops: int) -> float:
+    """Fixed CPU-bound pure-Python kernel; returns its own wall seconds."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(loops):
+        acc ^= i * i
+    return time.perf_counter() - t0
+
+
+def _calibration_round(workers: int, loops: int = CALIBRATION_LOOPS) -> tuple[float, float]:
+    """Seconds for the kernel alone in-process, then wall seconds for
+    ``workers`` copies at once on the shared pool (built on first use)."""
+    single = _spin(loops)
+    t0 = time.perf_counter()
+    parallel_map(_spin, [loops] * workers, n_workers=workers, chunksize=1)
+    return single, time.perf_counter() - t0
+
+
 def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dict:
     """Run all three workloads and return (and optionally write) the record.
 
@@ -360,14 +408,18 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
             )
 
         large_prob = _large_problem(cfg)
-        with span(hub, "bench_leg[large_revised]"):
-            large_revised = _large_engine_run(
-                large_prob, "revised", cfg.large_resolves, cfg.seed + 7, telemetry=hub
-            )
-        with span(hub, "bench_leg[large_tableau]"):
-            large_tableau = _large_engine_run(
-                large_prob, "tableau", cfg.large_resolves, cfg.seed + 7, telemetry=hub
-            )
+        revised_runs, tableau_runs = [], []
+        for _ in range(BEST_OF):
+            with span(hub, "bench_leg[large_revised]"):
+                revised_runs.append(_large_engine_run(
+                    large_prob, "revised", cfg.large_resolves, cfg.seed + 7, telemetry=hub
+                ))
+            with span(hub, "bench_leg[large_tableau]"):
+                tableau_runs.append(_large_engine_run(
+                    large_prob, "tableau", cfg.large_resolves, cfg.seed + 7, telemetry=hub
+                ))
+        large_revised = min(revised_runs, key=lambda leg: leg["wall_s"])
+        large_tableau = min(tableau_runs, key=lambda leg: leg["wall_s"])
         for o_r, o_t in zip(large_revised["objectives"], large_tableau["objectives"]):
             if (o_r is None) != (o_t is None) or (
                 o_r is not None and abs(o_r - o_t) > 1e-6 * (1.0 + abs(o_t))
@@ -378,11 +430,27 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
                 )
 
         tsp = _two_stage(cfg)
-        workers = cfg.benders_workers if cfg.benders_workers is not None else default_workers()
-        with span(hub, "bench_leg[benders_serial]"):
-            benders_serial = _benders_leg(tsp, workers=1, telemetry=hub)
-        with span(hub, "bench_leg[benders_parallel]"):
-            benders_parallel = _benders_leg(tsp, workers=max(2, workers), telemetry=hub)
+        workers = max(
+            2, cfg.benders_workers if cfg.benders_workers is not None else default_workers()
+        )
+        rounds, serial_runs, parallel_runs = [], [], []
+        with span(hub, "bench_leg[calibrate]"):
+            _calibration_round(workers)  # builds the pool: start-up is not timed
+            rounds.append(_calibration_round(workers))
+        for _ in range(BEST_OF):
+            with span(hub, "bench_leg[benders_serial]"):
+                serial_runs.append(_benders_leg(tsp, workers=1, telemetry=hub))
+            with span(hub, "bench_leg[benders_parallel]"):
+                parallel_runs.append(_benders_leg(tsp, workers=workers, telemetry=hub))
+            with span(hub, "bench_leg[calibrate]"):
+                rounds.append(_calibration_round(workers))
+    # Delivered parallelism, workers * t_single / wall: the best in-process
+    # time is the kernel's uncontended cost, and the slowest fan-out is the
+    # least the host gave while the parallel legs ran between calibrations.
+    parallelism = workers * min(t for t, _ in rounds) / max(w for _, w in rounds)
+    advertised = os.cpu_count() or 1
+    benders_serial = min(serial_runs, key=lambda leg: leg["wall_s"])
+    benders_parallel = min(parallel_runs, key=lambda leg: leg["wall_s"])
     if abs(benders_serial["objective"] - benders_parallel["objective"]) > 1e-6 * max(
         1.0, abs(benders_serial["objective"])
     ):
@@ -407,7 +475,11 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
             "large_classes": cfg.large_classes,
             "large_resolves": cfg.large_resolves,
         },
-        "cpu_count": os.cpu_count() or 1,
+        # CPUs delivered to the parallel Benders leg, not advertised ones:
+        # the Benders gate reads this.
+        "cpu_count": max(1, min(advertised, math.floor(parallelism + DELIVERED_CPU_SLACK))),
+        "cpu_count_advertised": advertised,
+        "cpu_parallelism": parallelism,
         "bb": {
             "warm": bb_warm,
             "cold": bb_cold,
@@ -469,8 +541,11 @@ def check_solver_regression(
 
     Returns human-readable failure strings (empty = pass).  Only
     machine-independent ratios are gated; absolute wall times are recorded
-    for humans but never compared across hosts.  The Benders speedup is
-    gated only when the current host actually has >= 2 CPUs.
+    for humans but never compared across hosts.  The Benders speedup must
+    exceed 1.0 only when the record's ``cpu_count`` — the CPUs the host
+    *delivered* to the parallel leg, measured by :func:`run_solver_bench`
+    — is at least 2; a host that advertises 2 CPUs but delivers one is
+    not held to it.
     """
     failures: list[str] = []
     cur = float(record["bb"]["node_throughput_ratio"])
@@ -493,8 +568,8 @@ def check_solver_regression(
         )
     if int(record.get("cpu_count", 1)) >= 2 and float(record["benders"]["speedup"]) <= 1.0:
         failures.append(
-            f"parallel Benders no faster than serial on a "
-            f"{record['cpu_count']}-CPU host (speedup "
+            f"parallel Benders no faster than serial on a host delivering "
+            f"{record['cpu_count']} CPUs (speedup "
             f"{record['benders']['speedup']:.2f}x)"
         )
     large = record.get("large")
@@ -557,7 +632,8 @@ def summary_lines(record: dict) -> list[str]:
             f"{bd['serial']['wall_s'] * 1e3:.0f} ms vs parallel "
             f"{bd['parallel']['wall_s'] * 1e3:.0f} ms on "
             f"{bd['parallel']['workers']} workers ({bd['speedup']:.2f}x, "
-            f"{record['cpu_count']} CPUs), warm hits "
+            f"{record['cpu_count']} of "
+            f"{record.get('cpu_count_advertised', record['cpu_count'])} CPUs), warm hits "
             f"{bd['parallel']['subproblem_warm_hits']}/"
             f"{bd['scenarios'] * bd['parallel']['iterations']}"
         ),

@@ -1,10 +1,30 @@
 """Process-pool mapping for embarrassingly parallel sweeps.
 
-Used by the auto-ARIMA grid search, the experiment harness, and parallel
-fuzz shards.  Keeps the dependency surface tiny: :mod:`concurrent.futures`
-with chunking, ordered results, and a serial fallback for
-``n_workers <= 1`` (which also makes unit tests deterministic and
-debuggable).
+Used by the auto-ARIMA grid search, the experiment harness, parallel
+Benders subproblems and parallel fuzz shards.  Keeps the dependency
+surface tiny: :mod:`concurrent.futures` with chunking, ordered results,
+and a serial fallback for ``n_workers <= 1`` (which also makes unit
+tests deterministic and debuggable).
+
+One shared executor per process
+-------------------------------
+
+The parallel path reuses one lazily created
+:class:`~concurrent.futures.ProcessPoolExecutor` per process instead of
+starting a pool per call: a Benders solve calls :func:`parallel_map` once
+per iteration for subproblems of a few milliseconds, and per-call process
+start-up used to cost more than the subproblems themselves.  The
+executor is keyed on ``(pid, n_workers)``: a forked child never touches
+its parent's pool (it builds its own on first use), and a call with a
+different worker count replaces it (calls already running on the old
+pool still finish).  Workers fork from the process as it is when the
+executor is first used, so later changes to the parent's environment or
+module state do not reach them (nor does a task function defined in
+``__main__`` after that).  A worker that dies mid-call breaks the
+pool: that call raises :class:`~concurrent.futures.process.BrokenProcessPool`
+and the broken executor is discarded, so the next call starts a fresh one.
+Workers outlive calls, so each one also exits by itself within a second
+of its owning process dying without shutting the pool down.
 
 Telemetry across process boundaries
 -----------------------------------
@@ -40,6 +60,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -104,9 +125,68 @@ def serial_guard():
         _local.depth -= 1
 
 
+def _exit_with_owner(owner: int) -> None:
+    """Worker watchdog: exit once the process that owns the pool is gone.
+
+    Idle workers block on a queue whose write end they hold themselves,
+    so they would outlive an owner that died without shutting its pool
+    down (SIGKILL, ``os._exit`` in a forked child) and wait forever.
+    """
+    while os.getppid() == owner:
+        time.sleep(0.5)
+    os._exit(0)
+
+
 def _child_init() -> None:
-    """ProcessPoolExecutor initializer: stamp the child's nesting depth."""
+    """ProcessPoolExecutor initializer: stamp the child's nesting depth
+    and start the watchdog that ends the worker with its owner."""
     os.environ[PARALLEL_DEPTH_ENV] = str(_env_depth() + 1)
+    threading.Thread(target=_exit_with_owner, args=(os.getppid(),), daemon=True).start()
+
+
+#: The shared executor and the ``(pid, n_workers)`` it was built for.
+_executor: ProcessPoolExecutor | None = None
+_executor_key: tuple[int, int] | None = None
+_executor_lock = threading.Lock()
+
+
+def _reset_lock_after_fork() -> None:
+    # A fork taken while another thread held the lock must not leave the
+    # child a lock that nobody will ever release.
+    global _executor_lock
+    _executor_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+def _shared_executor(n_workers: int) -> ProcessPoolExecutor:
+    """This process's executor for ``n_workers``, built on first use."""
+    global _executor, _executor_key
+    key = (os.getpid(), n_workers)
+    with _executor_lock:
+        if _executor_key != key:
+            if _executor is not None and _executor_key[0] == key[0]:
+                _executor.shutdown(wait=False)
+            # An executor inherited across a fork belongs to the parent:
+            # drop the reference without shutting it down.
+            _executor = ProcessPoolExecutor(max_workers=n_workers, initializer=_child_init)
+            _executor_key = key
+        return _executor
+
+
+def _pool_map(fn: Callable, items: list, n_workers: int, chunksize: int) -> list:
+    """``pool.map`` on the shared executor; a broken pool is discarded."""
+    global _executor, _executor_key
+    pool = _shared_executor(n_workers)
+    try:
+        return list(pool.map(fn, items, chunksize=chunksize))
+    except BrokenProcessPool:
+        with _executor_lock:
+            if _executor is pool:
+                _executor, _executor_key = None, None
+        pool.shutdown(wait=False)
+        raise
 
 
 def current_telemetry() -> Telemetry | None:
@@ -213,9 +293,12 @@ def parallel_map(
     """Map ``fn`` over ``items``, preserving order.
 
     ``n_workers <= 1`` runs serially in-process (no pickling requirements);
-    otherwise a :class:`ProcessPoolExecutor` is used, with a chunksize of
-    roughly ``len(items) / (4 * workers)`` so scheduling overhead stays small
-    relative to task cost.
+    otherwise the process's shared :class:`ProcessPoolExecutor` is used
+    (built on first use and reused across calls, see the module docstring),
+    with a chunksize of roughly ``len(items) / (4 * workers)`` so scheduling
+    overhead stays small relative to task cost.  If a worker dies
+    mid-call, this call raises :class:`BrokenProcessPool` and the next call
+    runs on a fresh pool.
 
     ``fn`` and the items must be picklable in the parallel path (module-level
     functions, plain data) — the usual multiprocessing contract.
@@ -246,9 +329,7 @@ def parallel_map(
     if chunksize is None:
         chunksize = max(1, len(items) // (4 * n_workers))
     if telemetry is None:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_child_init) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+        return _pool_map(fn, items, n_workers, chunksize)
     task = _CapturedTask(fn, trace)
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_child_init) as pool:
-        outputs = list(pool.map(task, items, chunksize=chunksize))
+    outputs = _pool_map(task, items, n_workers, chunksize)
     return _forward(telemetry, outputs, trace)

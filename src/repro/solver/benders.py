@@ -327,6 +327,9 @@ def solve_benders(
     eff_workers = min(max(1, requested_workers), S)
     if eff_workers > 1 and in_parallel_worker():
         eff_workers = 1  # the pool would refuse to fork again anyway
+    # One chunk per worker: subproblems cost a few milliseconds each, so
+    # every extra pool round trip is overhead, not balance.
+    chunksize = -(-S // eff_workers)
 
     from dataclasses import replace as dc_replace
 
@@ -376,14 +379,17 @@ def solve_benders(
             with telemetry.phase(
                 "benders_subproblems", scenarios=S, iteration=it, workers=eff_workers
             ) as sub_info:
-                outs = parallel_map(_sub_task, items, n_workers=eff_workers, telemetry=telemetry)
+                outs = parallel_map(
+                    _sub_task, items, n_workers=eff_workers, chunksize=chunksize,
+                    telemetry=telemetry,
+                )
                 # Summed in-worker solve seconds: the profiler splits this
                 # phase into subproblem compute vs fan-out/IPC overhead.
                 sub_info["subproblem_s"] = float(
                     sum(o[3] for o in outs if o is not None)
                 )
         else:
-            outs = parallel_map(_sub_task, items, n_workers=eff_workers)
+            outs = parallel_map(_sub_task, items, n_workers=eff_workers, chunksize=chunksize)
         if any(o is None for o in outs):
             return out_of_time(it)
         subs = [o[0] for o in outs]

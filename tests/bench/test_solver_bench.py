@@ -68,6 +68,16 @@ class TestRunSolverBench:
         assert lines[2].startswith("benders:")
         assert lines[3].startswith("large:")
 
+    def test_cpu_count_is_delivered_not_advertised(self, record):
+        rec, _ = record
+        assert 1 <= rec["cpu_count"] <= rec["cpu_count_advertised"]
+        assert rec["cpu_parallelism"] > 0
+
+    def test_summary_shows_delivered_of_advertised_cpus(self, record):
+        rec, _ = record
+        line = summary_lines(rec)[2]
+        assert f"{rec['cpu_count']} of {rec['cpu_count_advertised']} CPUs" in line
+
     def test_scenarios_floor_enforced(self):
         with pytest.raises(ValueError, match=">= 8 scenarios"):
             SolverBenchConfig(scenarios=4)
@@ -143,3 +153,19 @@ class TestRegressionGate:
         base = self._as_big(rec)
         failures = check_solver_regression(rec, base)
         assert any("shrank" in f for f in failures)
+
+    def test_host_delivering_one_of_two_cpus_passes_against_itself(self, record):
+        rec, _ = record
+        oversubscribed = copy.deepcopy(rec)
+        oversubscribed["cpu_count_advertised"] = 2
+        oversubscribed["cpu_count"] = 1
+        oversubscribed["benders"]["speedup"] = 0.2
+        assert check_solver_regression(oversubscribed, oversubscribed) == []
+
+    def test_benders_floor_fires_when_two_cpus_are_delivered(self, record):
+        rec, _ = record
+        slow = copy.deepcopy(rec)
+        slow["cpu_count_advertised"] = 2
+        slow["cpu_count"] = 2
+        slow["benders"]["speedup"] = 1.0
+        assert any("Benders" in f for f in check_solver_regression(slow, slow))

@@ -1,6 +1,10 @@
 """Process-pool mapping tests."""
 
+import json
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,6 +18,22 @@ def square(x):
 
 def pid_of(_):
     return os.getpid()
+
+
+def pid_after_nap(_):
+    # Long enough that every worker takes an item before any takes two.
+    time.sleep(0.1)
+    return os.getpid()
+
+
+def die_on_three(x):
+    if x == 3:
+        os._exit(1)
+    return x
+
+
+def pid_and_parent(_):
+    return os.getpid(), os.getppid()
 
 
 class TestParallelMap:
@@ -51,6 +71,68 @@ class TestParallelMap:
         # 2 items must never fan out to more than 2 worker processes
         pids = set(parallel_map(pid_of, [1, 2], n_workers=8, chunksize=1))
         assert len(pids) <= 2
+
+
+class TestSharedExecutor:
+    def test_consecutive_calls_reuse_worker_processes(self):
+        parallel_map(pid_of, [1, 2], n_workers=2, chunksize=1)  # build the pool
+        first = set(parallel_map(pid_after_nap, range(4), n_workers=2, chunksize=1))
+        second = set(parallel_map(pid_after_nap, range(4), n_workers=2, chunksize=1))
+        assert len(first) == 2 and os.getpid() not in first
+        assert second == first
+
+    def test_dead_worker_fails_its_call_and_the_next_call_recovers(self):
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(die_on_three, range(8), n_workers=2, chunksize=1)
+        assert parallel_map(square, range(8), n_workers=2) == [x * x for x in range(8)]
+
+    @staticmethod
+    def _run_in_forked_child():
+        """Fork; the child maps ``pid_and_parent`` on 2 workers and exits
+        without shutting its pool down.  Returns ``(child_pid, pairs)``."""
+        read_fd, write_fd = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            try:
+                os.close(read_fd)
+                # A child stuck on the parent's pool would hang: end it.
+                signal.alarm(60)
+                pairs = parallel_map(pid_and_parent, range(8), n_workers=2, chunksize=1)
+                os.write(write_fd, (json.dumps(pairs) + "\n").encode())
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        # One line, not EOF: the child's workers hold the write end too.
+        with os.fdopen(read_fd) as pipe:
+            payload = pipe.readline()
+        os.waitpid(child, 0)
+        return child, json.loads(payload)
+
+    def test_forked_child_builds_its_own_pool(self):
+        parent_workers = set(parallel_map(pid_of, range(8), n_workers=2, chunksize=1))
+        child, pairs = self._run_in_forked_child()
+        assert len(pairs) == 8
+        assert {ppid for _, ppid in pairs} == {child}
+        assert not {pid for pid, _ in pairs} & parent_workers
+        # The parent's pool is untouched by the child's.
+        assert set(parallel_map(pid_of, range(8), n_workers=2, chunksize=1)) <= parent_workers
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_workers_exit_when_their_owner_dies(self):
+        _, pairs = self._run_in_forked_child()
+        workers = {pid for pid, _ in pairs}
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(alive(pid) for pid in workers)
 
 
 class TestWorkersEnvOverride:
