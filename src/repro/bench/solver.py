@@ -15,12 +15,15 @@ Three seeded workloads, all deterministic given the config:
   solved serially and with the scenario fan-out; per-scenario subproblem
   bases warm the next iteration in both modes.
 * **large** — a 200+ var / 60+ row wide multi-class DRRP allocation LP
-  (columns dominate rows, the regime production models grow into) solved
-  cold once plus a deterministic branching-style sequence of warm
-  re-solves, per pivot engine, best of :data:`BEST_OF` alternating runs.  The tableau/revised wall-clock ratio
-  on the *same* instance sequence and machine is hardware-independent and
-  is gated at ``LARGE_TIER_MIN_SPEEDUP`` — the revised engine must stay
-  >= 3x faster than the dense tableau it replaced.
+  (columns dominate rows, the regime production models grow into) and a
+  deterministic branching-style sequence of bound-modified children,
+  built once from the revised simplex's root solution.  Two legs replay
+  the same LPs, best of :data:`BEST_OF` alternating runs: the revised
+  simplex (root cold, each child warm from the root basis) and HiGHS
+  (every LP cold).  Their objectives must agree on every LP, and the
+  HiGHS/revised wall-clock ratio on the same sequence and machine,
+  ``speedup_vs_highs``, is gated against the baseline's.  A host without
+  SciPy runs the revised leg alone and records no ratio.
 
 The record is written as ``BENCH_solver.json`` (``REPRO_BENCH_DIR``
 honored, like the service bench).  CI compares the **cold-normalized**
@@ -62,7 +65,14 @@ import numpy as np
 
 from repro.obs.spans import span
 from repro.parallel.pool import default_workers, parallel_map
-from repro.solver import BranchAndBoundOptions, SolverStatus, solve_compiled
+from repro.solver import (
+    BranchAndBoundOptions,
+    SolverStatus,
+    scipy_available,
+    solve_compiled,
+    solve_lp_scipy,
+    solve_lp_simplex,
+)
 from repro.solver.benders import BendersOptions, Scenario, TwoStageProblem, solve_benders
 from repro.solver.model import CompiledProblem
 from repro.solver.telemetry import Telemetry
@@ -79,9 +89,6 @@ __all__ = [
 #: this fraction of the committed baseline's ratio.
 REGRESSION_TOLERANCE = 0.75
 
-#: Gate: floor on the tableau/revised wall-clock ratio of the large tier.
-#: Same sequence, same machine — the ratio transfers across hosts.
-LARGE_TIER_MIN_SPEEDUP = 3.0
 #: The speedup gate only means something while the tier stays large; a
 #: record whose tier shrank below these sizes fails against a baseline
 #: whose tier was large.
@@ -89,7 +96,7 @@ LARGE_TIER_MIN_VARS = 200
 LARGE_TIER_MIN_ROWS = 60
 
 #: Runs of each leg whose wall-time ratio is gated (the large-tier
-#: engines, serial and parallel Benders), alternating; the best
+#: revised and HiGHS legs, serial and parallel Benders), alternating; the best
 #: (shortest) wall time of each counts, so one noisy run cannot decide a
 #: gated ratio.
 BEST_OF = 3
@@ -120,7 +127,7 @@ class SolverBenchConfig:
     benders_workers: int | None = None  # None -> repro.parallel.default_workers()
     large_horizon: int = 48  # periods in the large (wide) DRRP tier
     large_classes: int = 8  # instance classes per period (2 tiers each)
-    large_resolves: int = 60  # warm re-solves per engine on the large tier
+    large_resolves: int = 60  # child LPs per leg on the large tier
     out: str | None = "BENCH_solver.json"
 
     def __post_init__(self) -> None:
@@ -173,16 +180,16 @@ def _drrp_problem(cfg: SolverBenchConfig) -> tuple[CompiledProblem, np.ndarray]:
 
 
 def _large_problem(cfg: SolverBenchConfig) -> CompiledProblem:
-    """Wide multi-class DRRP allocation LP for the engine-ratio tier.
+    """Wide multi-class DRRP allocation LP for the large tier.
 
     ``large_horizon`` periods x ``large_classes`` instance classes x two
     rental tiers (reserved-rate, on-demand-rate): per period a coverage row
     (weighted capacity across all classes meets demand) and a reserved-
     market availability row.  Columns dominate rows (n = 2*K*T vs m = 2*T)
-    — the regime scaled-up DRRP portfolios live in, and the one that
-    separates the engines: dense-tableau pivots cost O(m*n) while factored
-    revised pivots cost O(m^2 + n).  All variables carry finite upper
-    bounds so at-upper statuses and bound flips are exercised.
+    — the regime scaled-up DRRP portfolios live in, where factored revised
+    pivots cost O(m^2 + n) against a dense tableau's O(m*n).  All variables
+    carry finite upper bounds so at-upper statuses and bound flips are
+    exercised.
     """
     rng = np.random.default_rng(cfg.seed + 101)
     T, K = cfg.large_horizon, cfg.large_classes
@@ -214,33 +221,18 @@ def _large_problem(cfg: SolverBenchConfig) -> CompiledProblem:
     )
 
 
-def _large_engine_run(
-    prob: CompiledProblem,
-    engine: str,
-    resolves: int,
-    seed: int,
-    telemetry: Telemetry | None = None,
-) -> dict:
-    """One cold root solve plus a branching-style warm re-solve sequence.
+def _large_children(
+    prob: CompiledProblem, x: np.ndarray, resolves: int, seed: int
+) -> list[CompiledProblem]:
+    """A branching-style sequence of bound-modified children of ``prob``.
 
-    The sequence (which variable's bound tightens, and which way) is fully
-    determined by ``seed``, so both engines replay the *same* LPs and their
-    wall-clock ratio isolates the engine, not the workload.  Returns the
-    leg stats plus the per-solve objectives for the cross-engine agreement
-    check (``None`` marks an infeasible child).
+    Which variable's bound tightens around the root solution ``x``, and
+    which way, is fully determined by ``seed``; both large-tier legs replay
+    the same list, so their wall-clock ratio isolates the solver, not the
+    workload.
     """
-    from repro.solver.simplex import solve_lp_simplex
-
     rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    root = solve_lp_simplex(prob, telemetry=telemetry, engine=engine)
-    if root.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(f"large-tier root LP terminated {root.status.value} ({engine})")
-    basis = root.extra["basis"]
-    x = root.x
-    pivots = root.iterations
-    warm_used = 0
-    objectives: list[float | None] = [float(root.objective)]
+    children = []
     for _ in range(resolves):
         j = int(rng.integers(prob.num_vars))
         lb2, ub2 = prob.lb.copy(), prob.ub.copy()
@@ -248,24 +240,62 @@ def _large_engine_run(
             ub2[j] = max(prob.lb[j], x[j] * 0.5)
         else:
             lb2[j] = min(prob.ub[j], x[j] * 0.5 + 0.2)
-        child = dc_replace(prob, lb=lb2, ub=ub2)
-        res = solve_lp_simplex(child, warm_start=basis, telemetry=telemetry, engine=engine)
+        children.append(dc_replace(prob, lb=lb2, ub=ub2))
+    return children
+
+
+def _lp_objective(res, leg: str) -> float | None:
+    """The objective of a large-tier LP, ``None`` for an infeasible child."""
+    if res.status is SolverStatus.OPTIMAL:
+        return float(res.objective)
+    if res.status is SolverStatus.INFEASIBLE:
+        return None
+    raise RuntimeError(f"large-tier LP terminated {res.status.value} ({leg})")
+
+
+def _large_revised_run(
+    prob: CompiledProblem,
+    children: list[CompiledProblem],
+    telemetry: Telemetry | None = None,
+) -> dict:
+    """The revised simplex: the root cold, then every child warm from the
+    root basis.  Returns the leg stats plus the per-LP objectives."""
+    t0 = time.perf_counter()
+    root = solve_lp_simplex(prob, telemetry=telemetry)
+    objectives = [_lp_objective(root, "revised")]
+    if objectives[0] is None:
+        raise RuntimeError("large-tier root LP is infeasible")
+    basis = root.extra["basis"]
+    pivots = root.iterations
+    warm_used = 0
+    for child in children:
+        res = solve_lp_simplex(child, warm_start=basis, telemetry=telemetry)
+        objectives.append(_lp_objective(res, "revised"))
         pivots += res.iterations
-        if res.status is SolverStatus.OPTIMAL:
-            objectives.append(float(res.objective))
-        elif res.status is SolverStatus.INFEASIBLE:
-            objectives.append(None)
-        else:
-            raise RuntimeError(
-                f"large-tier child LP terminated {res.status.value} ({engine})"
-            )
         warm_used += int(bool((res.extra.get("warm") or {}).get("used")))
-    wall = time.perf_counter() - t0
     return {
-        "wall_s": wall,
+        "wall_s": time.perf_counter() - t0,
         "pivots": pivots,
         "warm_used": warm_used,
-        "resolves": resolves,
+        "resolves": len(children),
+        "objectives": objectives,
+    }
+
+
+def _large_highs_run(
+    prob: CompiledProblem,
+    children: list[CompiledProblem],
+    telemetry: Telemetry | None = None,
+) -> dict:
+    """HiGHS on the same LPs, each solved cold (the reference leg)."""
+    t0 = time.perf_counter()
+    objectives = [
+        _lp_objective(solve_lp_scipy(p, telemetry=telemetry), "highs")
+        for p in (prob, *children)
+    ]
+    return {
+        "wall_s": time.perf_counter() - t0,
+        "resolves": len(children),
         "objectives": objectives,
     }
 
@@ -408,26 +438,40 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
             )
 
         large_prob = _large_problem(cfg)
-        revised_runs, tableau_runs = [], []
+        large_root = solve_lp_simplex(large_prob)
+        if large_root.status is not SolverStatus.OPTIMAL:
+            raise RuntimeError(f"large-tier root LP terminated {large_root.status.value}")
+        children = _large_children(large_prob, large_root.x, cfg.large_resolves, cfg.seed + 7)
+        with_highs = scipy_available()
+        revised_runs, highs_runs = [], []
         for _ in range(BEST_OF):
             with span(hub, "bench_leg[large_revised]"):
-                revised_runs.append(_large_engine_run(
-                    large_prob, "revised", cfg.large_resolves, cfg.seed + 7, telemetry=hub
-                ))
-            with span(hub, "bench_leg[large_tableau]"):
-                tableau_runs.append(_large_engine_run(
-                    large_prob, "tableau", cfg.large_resolves, cfg.seed + 7, telemetry=hub
-                ))
+                revised_runs.append(_large_revised_run(large_prob, children, telemetry=hub))
+            if with_highs:
+                with span(hub, "bench_leg[large_highs]"):
+                    highs_runs.append(_large_highs_run(large_prob, children, telemetry=hub))
         large_revised = min(revised_runs, key=lambda leg: leg["wall_s"])
-        large_tableau = min(tableau_runs, key=lambda leg: leg["wall_s"])
-        for o_r, o_t in zip(large_revised["objectives"], large_tableau["objectives"]):
-            if (o_r is None) != (o_t is None) or (
-                o_r is not None and abs(o_r - o_t) > 1e-6 * (1.0 + abs(o_t))
-            ):
-                raise RuntimeError(
-                    "revised and tableau engines disagree on the large tier: "
-                    f"{o_r} vs {o_t}"
-                )
+        large = {
+            "vars": int(large_prob.num_vars),
+            "rows": int(large_prob.A_ub.shape[0] + large_prob.A_eq.shape[0]),
+            "resolves": cfg.large_resolves,
+            "revised": {k: v for k, v in large_revised.items() if k != "objectives"},
+        }
+        if with_highs:
+            large_highs = min(highs_runs, key=lambda leg: leg["wall_s"])
+            for o_r, o_h in zip(large_revised["objectives"], large_highs["objectives"]):
+                if (o_r is None) != (o_h is None) or (
+                    o_r is not None and abs(o_r - o_h) > 1e-6 * (1.0 + abs(o_h))
+                ):
+                    raise RuntimeError(
+                        f"revised simplex and HiGHS disagree on the large tier: {o_r} vs {o_h}"
+                    )
+            large["highs"] = {k: v for k, v in large_highs.items() if k != "objectives"}
+            # Same LPs, same machine: this ratio transfers across hosts.
+            large["speedup_vs_highs"] = (
+                large_highs["wall_s"] / large_revised["wall_s"]
+                if large_revised["wall_s"] > 0 else 0.0
+            )
 
         tsp = _two_stage(cfg)
         workers = max(
@@ -492,19 +536,7 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
             ),
         },
         "drrp": {"warm": drrp_warm, "cold": drrp_cold},
-        "large": {
-            "vars": int(large_prob.num_vars),
-            "rows": int(large_prob.A_ub.shape[0] + large_prob.A_eq.shape[0]),
-            "resolves": cfg.large_resolves,
-            "revised": {k: v for k, v in large_revised.items() if k != "objectives"},
-            "tableau": {k: v for k, v in large_tableau.items() if k != "objectives"},
-            # Same instance sequence, same machine: this ratio is the
-            # hardware-independent engine gate.
-            "speedup": (
-                large_tableau["wall_s"] / large_revised["wall_s"]
-                if large_revised["wall_s"] > 0 else 0.0
-            ),
-        },
+        "large": large,
         "benders": {
             "scenarios": cfg.scenarios,
             "serial": benders_serial,
@@ -545,7 +577,9 @@ def check_solver_regression(
     exceed 1.0 only when the record's ``cpu_count`` — the CPUs the host
     *delivered* to the parallel leg, measured by :func:`run_solver_bench`
     — is at least 2; a host that advertises 2 CPUs but delivers one is
-    not held to it.
+    not held to it.  The large tier's ``speedup_vs_highs`` is gated like
+    the bb ratio (a tolerance band plus a 1.0 floor that applies only when
+    the baseline cleared it), and only when both records carry it.
     """
     failures: list[str] = []
     cur = float(record["bb"]["node_throughput_ratio"])
@@ -583,18 +617,27 @@ def check_solver_regression(
 
     if large is None:
         if base_large is not None:
-            failures.append("record is missing the large engine-ratio tier")
+            failures.append("record is missing the large tier")
     else:
         if _is_big(large):
-            speedup = float(large["speedup"])
-            if speedup < LARGE_TIER_MIN_SPEEDUP:
-                failures.append(
-                    f"large-tier revised-engine speedup {speedup:.2f}x is below "
-                    f"the {LARGE_TIER_MIN_SPEEDUP:.1f}x floor (tableau "
-                    f"{large['tableau']['wall_s'] * 1e3:.0f} ms vs revised "
+            if base_large is not None and "speedup_vs_highs" in large \
+                    and "speedup_vs_highs" in base_large:
+                cur_vs = float(large["speedup_vs_highs"])
+                base_vs = float(base_large["speedup_vs_highs"])
+                detail = (
+                    f"(HiGHS {large['highs']['wall_s'] * 1e3:.0f} ms vs revised "
                     f"{large['revised']['wall_s'] * 1e3:.0f} ms on "
                     f"{large['vars']} vars / {large['rows']} rows)"
                 )
+                if cur_vs < tolerance * base_vs:
+                    failures.append(
+                        f"large-tier speedup over HiGHS regressed: {cur_vs:.2f}x vs "
+                        f"baseline {base_vs:.2f}x (floor {tolerance * base_vs:.2f}x) {detail}"
+                    )
+                if cur_vs < 1.0 <= base_vs:
+                    failures.append(
+                        f"large-tier revised simplex slower than HiGHS ({cur_vs:.2f}x) {detail}"
+                    )
             warm_hits = int(large["revised"]["warm_used"])
             if warm_hits < int(large["resolves"]):
                 failures.append(
@@ -605,7 +648,7 @@ def check_solver_regression(
             failures.append(
                 f"large tier shrank to {large.get('vars', 0)} vars / "
                 f"{large.get('rows', 0)} rows (floor {LARGE_TIER_MIN_VARS} / "
-                f"{LARGE_TIER_MIN_ROWS}); the engine-ratio gate is meaningless"
+                f"{LARGE_TIER_MIN_ROWS}); the HiGHS-ratio gate is meaningless"
             )
     return failures
 
@@ -640,10 +683,14 @@ def summary_lines(record: dict) -> list[str]:
     ]
     lg = record.get("large")
     if lg is not None:
+        versus = (
+            f"vs HiGHS {lg['highs']['wall_s'] * 1e3:.0f} ms "
+            f"({lg['speedup_vs_highs']:.2f}x)"
+            if "speedup_vs_highs" in lg else "(no HiGHS leg)"
+        )
         lines.append(
             f"large: {lg['vars']} vars / {lg['rows']} rows, revised "
-            f"{lg['revised']['wall_s'] * 1e3:.0f} ms vs tableau "
-            f"{lg['tableau']['wall_s'] * 1e3:.0f} ms ({lg['speedup']:.2f}x), "
+            f"{lg['revised']['wall_s'] * 1e3:.0f} ms {versus}, "
             f"warm {lg['revised']['warm_used']}/{lg['resolves']}"
         )
     return lines

@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsol.add_argument("--large-classes", type=int, default=None,
                         help="large-tier instance classes per period (default 8)")
     p_bsol.add_argument("--large-resolves", type=int, default=None,
-                        help="large-tier warm re-solves per engine (default 60)")
+                        help="large-tier child LPs, re-solved warm by the revised "
+                             "simplex and cold by HiGHS (default 60)")
     p_bsol.add_argument("--workers", type=int, default=None,
                         help="Benders fan-out width (default: auto)")
     p_bsol.add_argument("--out", default="BENCH_solver.json", metavar="FILE",

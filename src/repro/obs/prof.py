@@ -8,9 +8,7 @@ added at the emit sites —
 * **simplex**: ``phase_end`` events for ``simplex_phase1`` /
   ``simplex_phase2`` / ``simplex_warm`` carry a ``breakdown`` dict
   splitting the phase into pricing, ratio test, basis update,
-  refactorization and (on warm repairs) dual-repair seconds — emitted
-  identically by both pivot engines, with the ``engine`` attribute
-  telling them apart;
+  refactorization and (on warm repairs) dual-repair seconds;
 * **Benders**: the ``benders_subproblems`` phase carries
   ``subproblem_s`` (summed in-worker solve seconds), so the profile
   separates subproblem compute from fan-out/IPC overhead

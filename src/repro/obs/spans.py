@@ -130,6 +130,7 @@ _MARKERS = {
     "cut_round",
     "backend_degraded",
     "warm_start_rejected",
+    "numerical_trouble",
     "deadline_exceeded",
     "fuzz_disagreement",
     "fuzz_summary",

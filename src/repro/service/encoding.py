@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 KINDS = ("drrp", "srrp", "fleet")
+# A copy of repro.solver.BACKENDS (importing it would pull in numpy);
+# tests/service/test_encoding.py keeps the two equal.
 BACKENDS = ("auto", "simplex", "simplex+cuts", "scipy", "bb-scipy")
 OVERLOAD_MODES = ("reject", "degrade")
 

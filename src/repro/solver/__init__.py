@@ -26,7 +26,7 @@ from .telemetry import Deadline, EventRecorder, SolveEvent, Telemetry
 from .interface import BACKENDS, solve, solve_compiled
 from .branch_bound import BranchAndBoundOptions, branch_and_bound
 from .presolve import PresolveResult, presolve
-from .simplex import SIMPLEX_ENGINES, resolve_engine, solve_lp_simplex
+from .simplex import solve_lp_simplex
 from .scipy_backend import scipy_available, solve_lp_scipy, solve_milp_scipy
 from .cuts import generate_gmi_cuts, strengthen_with_gomory_cuts
 from .sensitivity import SensitivityReport, lp_sensitivity
@@ -59,8 +59,6 @@ __all__ = [
     "PresolveResult",
     "presolve",
     "solve_lp_simplex",
-    "SIMPLEX_ENGINES",
-    "resolve_engine",
     "solve_lp_scipy",
     "solve_milp_scipy",
     "generate_gmi_cuts",

@@ -28,9 +28,8 @@ workers serial) and, on the default ``subproblem_backend="simplex"``, each
 scenario re-solves from its previous iteration's optimal basis — across
 L-shaped iterations only the right-hand side ``h - T x`` moves, so the old
 basis is typically dual feasible and a handful of dual-simplex pivots
-replace a full two-phase solve (under the default revised engine the
-exported basis also carries the factor-inverse hint, so the re-solve skips
-refactorization too).  ``subproblem_backend="scipy"`` keeps the legacy
+replace a full two-phase solve (the exported basis also carries the
+factor-inverse hint, so the re-solve skips refactorization too).  ``subproblem_backend="scipy"`` keeps the legacy
 HiGHS path (no warm starts; duals read off marginals).
 """
 

@@ -17,9 +17,8 @@ built from scratch:
   repairing primal feasibility with the bounded dual simplex when the
   branching bound cut the parent vertex off.  Every LP solve emits an
   ``lp_warm`` or ``lp_cold`` telemetry event so the obs layer can report
-  the warm-hit rate.  The bases are engine-portable: under the default
-  revised engine (see :mod:`repro.solver.revised`) they additionally
-  carry the parent's basis-inverse hint, so a child re-solve skips the
+  the warm-hit rate.  The bases also carry the parent's basis-inverse
+  hint (see :mod:`repro.solver.revised`), so a child re-solve skips the
   factorization entirely, and a child cut off by its branching bound is
   proven infeasible by the dual repair itself (an ``lp_warm`` with
   ``mode="dual"``) rather than by a cold two-phase solve.
@@ -66,7 +65,7 @@ class BranchAndBoundOptions:
         status ``FEASIBLE``.
     use_root_cuts:
         Add Gomory fractional cuts at the root node (requires the pure
-        simplex backend, which exposes its tableau).
+        simplex backend, which exposes its final tableau).
     max_root_cut_rounds:
         Number of cut-generation rounds at the root.
     rounding_heuristic:
@@ -170,6 +169,11 @@ def branch_and_bound(
     nodes_pruned = 0
     lp_warm_hits = 0
     lp_cold_solves = 0
+    # A child LP that ended without an answer (ERROR, ITERATION_LIMIT):
+    # its subtree is unexplored, so its parent's bound stays in the global
+    # bound and the run cannot finish OPTIMAL unless the incumbent reaches it.
+    unsolved_status: SolverStatus | None = None
+    unsolved_bound = math.inf
 
     try:
         supports_warm = "warm_start" in inspect.signature(lp_solver).parameters
@@ -306,7 +310,7 @@ def branch_and_bound(
         if incumbent_x is not None:
             x_out = incumbent_x[: problem.num_vars]
             obj = problem.objective_value(x_out)
-            bound_internal = min(best_bound, incumbent_obj)
+            bound_internal = min(best_bound, incumbent_obj, unsolved_bound)
             bound = -bound_internal if problem.maximize else bound_internal
             return SolverResult(
                 status=status, x=x_out, objective=obj, bound=bound,
@@ -378,6 +382,9 @@ def branch_and_bound(
             if not res.status.has_solution:
                 if res.status is SolverStatus.TIME_LIMIT:
                     return out_of_time()
+                if res.status is not SolverStatus.INFEASIBLE:
+                    unsolved_status = unsolved_status or res.status
+                    unsolved_bound = min(unsolved_bound, bound)
                 continue
             child_bound = internal_obj(res.x)
             if child_bound < incumbent_obj - 1e-12:
@@ -392,8 +399,9 @@ def branch_and_bound(
                     telemetry.emit("node_prune", node=-1, bound=child_bound, incumbent=incumbent_obj)
 
     if incumbent_x is not None:
-        return finish(SolverStatus.OPTIMAL)
+        closed = unsolved_bound >= incumbent_obj - opts.rel_gap * max(1.0, abs(incumbent_obj))
+        return finish(SolverStatus.OPTIMAL if closed else SolverStatus.FEASIBLE)
     return SolverResult(
-        status=SolverStatus.INFEASIBLE, nodes=nodes_explored, iterations=total_lp_iters,
-        extra=lp_stats(),
+        status=unsolved_status or SolverStatus.INFEASIBLE, nodes=nodes_explored,
+        iterations=total_lp_iters, extra=lp_stats(),
     )

@@ -17,9 +17,9 @@ with ``f_j = frac(a_ij)``, ``g(f) = f`` if ``f <= f0`` else
 ``f0 a / (f0 - 1)``.
 
 Cuts read the optimal tableau through the solver result's ``extra
-["tableau"]`` object; the revised engine's
-:class:`~repro.solver.revised.RevisedTableau` materializes the dense rows
-lazily on first access, so the cost is only paid when cutting is on.
+["tableau"]`` object, a :class:`~repro.solver.revised.RevisedTableau`
+that materializes the dense rows lazily on first access, so the cost is
+only paid when cutting is on.
 
 Because the simplex works in shifted/slacked standard form, every
 standard-form column is an affine function of the original variables; the
@@ -36,7 +36,8 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from .model import CompiledProblem
-from .simplex import SimplexTableau, StandardForm, solve_lp_simplex
+from .revised import RevisedTableau
+from .simplex import StandardForm, solve_lp_simplex
 from .result import SolverStatus
 from .telemetry import Deadline, Telemetry
 
@@ -95,7 +96,7 @@ def _column_affine_maps(problem: CompiledProblem, sf: StandardForm) -> tuple[np.
 
 def generate_gmi_cuts(
     problem: CompiledProblem,
-    tableau: SimplexTableau,
+    tableau: RevisedTableau,
     sf: StandardForm,
     max_cuts: int = 10,
 ) -> list[tuple[np.ndarray, float]]:

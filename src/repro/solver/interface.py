@@ -9,8 +9,11 @@ the backend string picks the engine:
     The fallback chain is HiGHS -> pure simplex; each hop emits a
     ``backend_degraded`` telemetry event and a :class:`RuntimeWarning`.
 ``"simplex"``
-    Pure-Python two-phase simplex (LP) / simplex-based branch-and-bound
-    (MILP).  The from-scratch reference implementation.
+    Pure-Python two-phase revised simplex (LP) / simplex-based
+    branch-and-bound (MILP).  The from-scratch reference implementation;
+    an LP whose basis refuses to factorize ends with status ``ERROR``
+    (``extra["reason"]``, plus a ``numerical_trouble`` event when it is
+    solved with a listener), with no fallback to HiGHS.
 ``"simplex+cuts"``
     Same, with Gomory mixed-integer cuts at the root.
 ``"scipy"``

@@ -1,8 +1,8 @@
 """Revised simplex engine: factored basis, Devex pricing, blocked kernels.
 
-This is the successor of the dense-tableau loop in
-:mod:`repro.solver.simplex`: instead of carrying the full ``(m+1, n+1)``
-tableau and doing an O(m*n) rank-1 elimination per pivot, the engine keeps
+This is the LP engine behind :func:`repro.solver.simplex.solve_lp_simplex`.
+Instead of carrying the full ``(m+1, n+1)`` tableau and doing an O(m*n)
+rank-1 elimination per pivot, the engine keeps
 
 * the constraint matrix ``A`` untouched (read-only, shared across phases),
 * an LU-factored basis inverse (:class:`BasisFactor`) updated per pivot by a
@@ -11,11 +11,10 @@ tableau and doing an O(m*n) rank-1 elimination per pivot, the engine keeps
 * the basic values ``x_B`` and reduced costs ``red`` as maintained vectors,
   updated incrementally with one BTRAN row and one O(n) GEMV per pivot.
 
-Per-pivot cost drops from O(m*n) *tableau-wide* elimination to
-O(m^2 + n) vector updates, and warm re-solves skip the dense
-``solve(B, A)`` body materialization entirely — the dominant cost of the
-tableau warm path and the source of the large-tier speedup gated in
-``repro bench-solver``.
+Per-pivot cost is O(m^2 + n) vector updates rather than O(m*n)
+*tableau-wide* elimination, and warm re-solves never materialize the dense
+``solve(B, A)`` body.  ``repro bench-solver`` times a warm re-solve chain
+on a 768-var tier against HiGHS solving the same LPs.
 
 Refactorization policy
 ----------------------
@@ -32,8 +31,8 @@ a fresh LU factorization (LAPACK ``getrf``/``getri`` via ``np.linalg.inv``):
 Optimality is only ever declared on a *fresh* factorization: when pricing
 finds no violation on drifted vectors, the engine refactorizes, recomputes
 ``x_B``/``red`` exactly, and re-prices.  This is what keeps the exported
-dual/Farkas certificates at the same exactness as the dense tableau's, and
-what makes a re-solve from a solve's own basis report 0 iterations.
+dual/Farkas certificates exact enough for :mod:`repro.verify`, and what
+makes a re-solve from a solve's own basis report 0 iterations.
 
 Pricing
 -------
@@ -44,16 +43,14 @@ Goldfarb's approximate steepest edge): the entering column maximizes
 in the current basis frame.  Weights update as a byproduct of the pivot row
 already computed for the reduced-cost update, so Devex costs one extra O(n)
 vector op per pivot.  The framework resets when weights overflow their
-trust range.  The dense path's anti-cycling contract is preserved exactly:
-after ``2m + 10`` consecutive degenerate steps the engine switches to
-Bland's rule (smallest eligible index, smallest basis-index ratio
-tie-break) until progress resumes.
+trust range.  Anti-cycling: after ``2m + 10`` consecutive degenerate
+steps the engine switches to Bland's rule (smallest eligible index,
+smallest basis-index ratio tie-break) until progress resumes.
 
-The bounded-variable mechanics (at-upper nonbasic statuses, three-way ratio
-test, bound flips with no basis change) mirror the tableau ops one-for-one
-on the maintained vectors, so the two engines agree on every certified
-answer and accept each other's :class:`~repro.solver.simplex.SimplexBasis`
-warm starts.
+Bounded variables are native: a nonbasic column sits at its lower or upper
+bound (at-upper statuses), and the three-way ratio test lets a basic
+variable leave at zero, leave at its upper bound, or the entering column
+flip to its opposite bound with no basis change.
 
 Warm re-solves
 --------------
@@ -86,7 +83,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-#: Primal feasibility tolerance (same as the dense tableau engine).
+#: Primal feasibility tolerance.
 _FEAS_TOL = 1e-7
 #: Relative residual that triggers an out-of-schedule refactorization.
 _RESID_TOL = 1e-6
@@ -103,9 +100,9 @@ _PIVOT_TOL = 1e-7
 class NumericalTrouble(RuntimeError):
     """The factored path lost the basis (singular refactorization mid-solve).
 
-    Cold solves catch this in :func:`repro.solver.simplex.solve_lp_simplex`
-    and degrade loudly to the dense tableau engine; warm solves return
-    ``None`` (fall back cold) instead.
+    Cold solves catch this in :func:`repro.solver.simplex.solve_lp_simplex`,
+    which returns ``SolverStatus.ERROR`` and emits a ``numerical_trouble``
+    event; warm solves return ``None`` (fall back cold) instead.
     """
 
 
@@ -190,7 +187,7 @@ class BasisFactor:
 
 
 class RevisedTableau:
-    """Duck-typed stand-in for :class:`~repro.solver.simplex.SimplexTableau`.
+    """Final simplex state of :func:`~repro.solver.simplex.solve_lp_simplex`.
 
     Carries the final revised-simplex state (basis, at-upper flags, kept
     rows, basic values, reduced costs, Farkas vector).  The dense tableau
@@ -267,10 +264,10 @@ class RevisedTableau:
 class _Core:
     """Bounded-variable revised simplex state over the kept rows.
 
-    Mirrors the dense tableau's pivot semantics one-for-one on the
-    maintained ``(x_B, red, basis, at_upper)`` vectors: same violation
-    definition, same three-way ratio test, same flip-before-pivot ordering,
-    same Dantzig/Devex-to-Bland stall switch and tie-breaks.  ``breakdown``
+    Pivots on the maintained ``(x_B, red, basis, at_upper)`` vectors: a
+    bound-aware violation for pricing, the three-way ratio test, bound
+    flips applied before the pivot, and the Devex-to-Bland stall switch.
+    ``breakdown``
     (telemetry-enabled call sites only) accumulates wall seconds under
     ``"pricing"``, ``"ratio_test"``, ``"basis_update"`` and
     ``"refactorization"``; ``None`` keeps the hot loop timer-free.
@@ -402,8 +399,8 @@ class _Core:
     ) -> int:
         """Basis change at ``(row, q)`` with entering spike ``d = B^-1 a_q``.
 
-        Applies the same rank-1 updates the tableau pivot performs, but on
-        the maintained vectors: O(m) on ``x_B``, one BTRAN row + one O(n)
+        Applies the tableau pivot's rank-1 updates to the maintained
+        vectors only: O(m) on ``x_B``, one BTRAN row + one O(n)
         GEMV on ``red``, one O(m^2) eta collapse on the factor.  Returns the
         leaving column.
         """
@@ -446,8 +443,8 @@ class _Core:
     def primal(self, max_iter: int) -> tuple[str, int]:
         """Bounded primal simplex to a terminal state.
 
-        Status in ``{"optimal", "unbounded", "limit", "deadline"}``; the
-        iteration count matches the tableau engine's (bound flips count).
+        Status in ``{"optimal", "unbounded", "limit", "deadline"}``; bound
+        flips count as iterations.
         """
         m = self.m
         track = self.track
@@ -606,9 +603,8 @@ class _Core:
     def dual(self, max_iter: int) -> tuple[str, int]:
         """Bounded dual simplex: restore primal feasibility (warm repair).
 
-        Same leaving/entering rules as the tableau's ``_iterate_dual``:
-        most-violated basic leaves, smallest reduced-cost ratio enters
-        (smallest-index tie-break).  Status in ``{"feasible", "infeasible",
+        The most-violated basic leaves and the smallest reduced-cost ratio
+        enters (smallest-index tie-break).  Status in ``{"feasible", "infeasible",
         "limit", "deadline"}``; on ``"infeasible"`` :attr:`farkas` holds the
         checked ray, or ``None`` when the check failed.
         """
@@ -670,12 +666,13 @@ def revised_solve(
 ) -> tuple[str, np.ndarray | None, float, int, RevisedTableau | None]:
     """Two-phase revised simplex on a :class:`StandardForm`.
 
-    Drop-in replacement for the cold :func:`repro.solver.simplex
-    .simplex_solve` path: same return tuple, same phase events
-    (``simplex_phase1``/``simplex_phase2`` with ``pivots`` and ``breakdown``
-    payloads), same Farkas convention on infeasible exits.  Raises
-    :class:`NumericalTrouble` when a basis refuses to factorize — the caller
-    degrades to the dense tableau engine.
+    Returns ``(status, x, objective, iterations, tableau)`` with status in
+    ``{"optimal", "infeasible", "unbounded", "limit", "deadline"}`` and
+    emits ``simplex_phase1``/``simplex_phase2`` phases with ``pivots``,
+    ``breakdown`` and ``refactorizations`` payloads.  On an infeasible exit
+    the tableau's ``farkas`` is the phase-1 dual ray.  Raises
+    :class:`NumericalTrouble` when a basis refuses to factorize — the
+    caller reports ``SolverStatus.ERROR``.
     """
     A, b, c, u = sf.A, sf.b, sf.c, sf.u
     m, n = A.shape
@@ -695,7 +692,7 @@ def revised_solve(
 
     def _run(core: _Core, phase: str) -> tuple[str, int]:
         if telemetry:
-            with telemetry.phase(phase, rows=core.m, cols=n, engine="revised") as info:
+            with telemetry.phase(phase, rows=core.m, cols=n) as info:
                 core.breakdown = {}
                 status, its = core.primal(max_iter)
                 info["pivots"] = its
@@ -712,7 +709,7 @@ def revised_solve(
     z1 = float(np.maximum(core.x_B[art_basic], 0.0).sum()) if art_basic.any() else 0.0
     if z1 > 1e-7:
         # Farkas vector: the phase-1 duals y = B^-T c1_B on the final
-        # (fresh) basis — identical to the tableau's 1 - red(artificials).
+        # (fresh) basis, i.e. 1 - red(artificials).
         farkas = core.factor.btran(c1[core.basis])
         tab = RevisedTableau(
             A, core.basis.copy(), rows=np.arange(m),
@@ -769,11 +766,11 @@ def warm_solve_revised(
 ) -> tuple[str, np.ndarray | None, float, int, RevisedTableau | None, str] | None:
     """Phase-2-only re-solve from a previous basis on the factored engine.
 
-    Same contract as the tableau's ``_warm_solve`` (``None`` requests a cold
-    solve; the returned tuple appends the repair ``mode``), but the basis is
-    refactorized directly — no O(m^2 n) ``solve(B, A)`` body
-    materialization, which is what makes warm-heavy B&B workloads several
-    times faster on this engine.
+    ``None`` requests a cold solve; otherwise the returned tuple is
+    :func:`revised_solve`'s plus the repair ``mode`` (``"primal"`` when the
+    refactorized point was already feasible, ``"dual"`` when the bounded
+    dual simplex repaired it first).  ``breakdown`` adds ``"dual_repair"``
+    seconds alongside the pivot-loop sections.
 
     A dual repair that proves the problem empty returns ``"infeasible"``
     (mode ``"dual"``) with a tableau whose ``farkas`` is the ray over all

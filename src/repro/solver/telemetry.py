@@ -52,7 +52,13 @@ Event kinds (``SolveEvent.kind``) emitted by the stack:
     The ``"auto"`` backend fell back along its chain (HiGHS -> pure
     simplex), e.g. because SciPy is not importable.
 ``warm_start_rejected``
-    A supplied initial incumbent failed the feasibility check.
+    A supplied initial incumbent failed the feasibility check, or the
+    simplex fell back cold from a warm basis (``where="simplex"``,
+    ``reason``).
+``numerical_trouble``
+    A cold simplex solve lost its basis (a refactorization came out
+    singular) and returns ``ERROR``; payload ``where="simplex"`` and the
+    ``reason``.
 ``deadline_exceeded``
     A layer observed the shared deadline expiring and is unwinding.
 ``fuzz_case`` / ``fuzz_disagreement`` / ``fuzz_summary``
@@ -99,6 +105,7 @@ EVENT_KINDS = frozenset(
         "benders_parallel",
         "backend_degraded",
         "warm_start_rejected",
+        "numerical_trouble",
         "deadline_exceeded",
         "fuzz_case",
         "fuzz_disagreement",

@@ -11,6 +11,7 @@ from repro.bench import (
     run_solver_bench,
     summary_lines,
 )
+from repro.solver import scipy_available
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +49,13 @@ class TestRunSolverBench:
         )
         lg = rec["large"]
         assert lg["vars"] >= 1 and lg["rows"] >= 1
-        assert lg["speedup"] > 0
         assert lg["revised"]["resolves"] == lg["resolves"]
         assert 0 <= lg["revised"]["warm_used"] <= lg["resolves"]
+        if scipy_available():
+            assert lg["highs"]["resolves"] == lg["resolves"]
+            assert lg["speedup_vs_highs"] > 0
+        else:
+            assert "highs" not in lg and "speedup_vs_highs" not in lg
 
     def test_record_written_and_parses(self, record):
         rec, out_dir = record
@@ -116,22 +121,57 @@ class TestRegressionGate:
         assert any("Benders" in f for f in check_solver_regression(slow, rec))
 
     @staticmethod
-    def _as_big(rec):
-        # Inflate the fixture's tiny tier to gate-eligible dimensions so the
-        # machine-independent checks fire without paying for a real 768-var
-        # run inside the test suite.
+    def _as_big(rec, speedup_vs_highs=6.5):
+        # Inflate the fixture's tiny tier to gate-eligible dimensions, with
+        # a HiGHS leg, so the machine-independent checks fire without
+        # paying for a real 768-var run inside the test suite (or needing
+        # SciPy for it).
         big = copy.deepcopy(rec)
         big["large"]["vars"] = 768
         big["large"]["rows"] = 96
+        big["large"]["highs"] = {"wall_s": 0.65, "resolves": big["large"]["resolves"]}
+        big["large"]["speedup_vs_highs"] = speedup_vs_highs
         return big
 
     def test_large_speedup_below_floor_fails(self, record):
+        # A baseline that beat HiGHS holds the record to the 1.0 floor even
+        # where the tolerance band alone would let it through.
         rec, _ = record
-        base = self._as_big(rec)
-        bad = copy.deepcopy(base)
-        bad["large"]["speedup"] = 1.0
+        base = self._as_big(rec, speedup_vs_highs=1.2)
+        bad = self._as_big(rec, speedup_vs_highs=0.95)
         failures = check_solver_regression(bad, base)
-        assert any("speedup 1.00x is below" in f for f in failures)
+        assert any("slower than HiGHS (0.95x)" in f for f in failures)
+        assert not any("regressed" in f and "HiGHS" in f for f in failures)
+
+    def test_large_speedup_regression_vs_baseline_fails(self, record):
+        rec, _ = record
+        base = self._as_big(rec, speedup_vs_highs=6.5)
+        bad = self._as_big(rec, speedup_vs_highs=3.0)
+        failures = check_solver_regression(bad, base)
+        assert any("speedup over HiGHS regressed: 3.00x" in f for f in failures)
+        assert check_solver_regression(base, base) == []
+
+    def test_large_floor_only_when_baseline_cleared_it(self, record):
+        # A baseline below 1.0 (a slow or noisy host) is not held to the
+        # floor: a record must always pass against itself.
+        rec, _ = record
+        slow = self._as_big(rec, speedup_vs_highs=0.8)
+        assert check_solver_regression(slow, slow) == []
+
+    def test_large_speedup_skipped_without_highs_leg(self, record):
+        # A host without SciPy records no HiGHS leg; the ratio checks skip
+        # on either side while the warm-hit check still runs.
+        rec, _ = record
+        base = self._as_big(rec, speedup_vs_highs=6.5)
+        no_highs = self._as_big(rec)
+        del no_highs["large"]["highs"], no_highs["large"]["speedup_vs_highs"]
+        assert check_solver_regression(no_highs, base) == []
+        assert check_solver_regression(base, no_highs) == []
+        no_highs["large"]["revised"]["warm_used"] = 0
+        assert any(
+            "warm bases are being rejected" in f
+            for f in check_solver_regression(no_highs, base)
+        )
 
     def test_large_warm_rejection_fails(self, record):
         rec, _ = record

@@ -146,3 +146,13 @@ class TestBuildAndPayload:
         payload = plan_payload("srrp", plan)
         assert payload["status"] == "optimal"
         assert "expected_cost" in payload and "first_chi" in payload
+
+
+class TestBackendList:
+    def test_matches_the_solver_backends(self):
+        # encoding.py keeps its own copy so the stdlib-only client never
+        # imports numpy; the copy must not drift from the solver's list.
+        from repro.service.encoding import BACKENDS
+        from repro.solver import BACKENDS as SOLVER_BACKENDS
+
+        assert BACKENDS == SOLVER_BACKENDS

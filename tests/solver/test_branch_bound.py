@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.solver import (
     BranchAndBoundOptions,
     Model,
+    SolverResult,
     SolverStatus,
     branch_and_bound,
     solve,
@@ -126,6 +127,64 @@ class TestOptionsAndLimits:
         m = knapsack_model([4, 5], [1, 1], 2)
         r = solve(m, backend="bb-scipy")
         assert r.gap <= 1e-6
+
+
+class TestUnsolvedChildren:
+    """A child LP that ends without an answer (``ERROR``,
+    ``ITERATION_LIMIT``) leaves its subtree unexplored: the search must
+    not report it as pruned, and must not report ``OPTIMAL`` or
+    ``INFEASIBLE`` on that basis."""
+
+    VALUES = [25, 11, 7, 12, 15, 25, 16, 7, 13, 20, 25, 23]
+    WEIGHTS = [14, 5, 13, 3, 9, 6, 5, 10, 6, 9, 6, 4]
+    CAP = 30
+
+    def _optimum(self):
+        # 2^12 assignments: brute force is the exact oracle.
+        v, w = np.array(self.VALUES), np.array(self.WEIGHTS)
+        bits = (np.arange(2 ** len(v))[:, None] >> np.arange(len(v))) & 1
+        return float((bits @ v)[bits @ w <= self.CAP].max())
+
+    @staticmethod
+    def _failing(calls, status):
+        """The simplex LP solver, except that the LP calls numbered in
+        ``calls`` (1 = root) return ``status`` with no solution."""
+        count = [0]
+
+        def lp(problem, warm_start=None):
+            count[0] += 1
+            if count[0] in calls:
+                return SolverResult(status=status)
+            return solve_lp_simplex(problem, warm_start=warm_start)
+
+        return lp
+
+    def test_both_root_children_error(self):
+        problem = knapsack_model(self.VALUES, self.WEIGHTS, self.CAP).compile()
+        r = branch_and_bound(
+            problem, self._failing({2, 3}, SolverStatus.ERROR),
+            BranchAndBoundOptions(rounding_heuristic=False),
+        )
+        assert r.status is SolverStatus.ERROR
+        assert r.x is None
+
+    def test_iteration_limit_child_keeps_its_bound(self):
+        problem = knapsack_model(self.VALUES, self.WEIGHTS, self.CAP).compile()
+        opt = self._optimum()
+        assert opt == 114.0
+        r = branch_and_bound(
+            problem, self._failing({2}, SolverStatus.ITERATION_LIMIT)
+        )
+        assert r.status is SolverStatus.FEASIBLE
+        assert r.objective <= opt + 1e-9
+        # Maximization: the reported bound still covers the true optimum.
+        assert r.bound >= opt - 1e-9
+
+    def test_unfailing_solver_is_optimal(self):
+        problem = knapsack_model(self.VALUES, self.WEIGHTS, self.CAP).compile()
+        r = branch_and_bound(problem, self._failing(set(), SolverStatus.ERROR))
+        assert r.status is SolverStatus.OPTIMAL
+        assert r.objective == pytest.approx(self._optimum())
 
 
 @st.composite

@@ -14,8 +14,10 @@ from repro.solver import (
     solve,
     solve_compiled,
 )
+from repro.solver.model import CompiledProblem
 from repro.solver.scipy_backend import solve_lp_scipy
-from repro.solver.simplex import simplex_solve, solve_lp_simplex
+from repro.solver.simplex import solve_lp_simplex
+from repro.verify.certify import certify_result
 
 
 class TestSimplexLimits:
@@ -31,17 +33,56 @@ class TestSimplexLimits:
         res = solve_lp_simplex(p, max_iter=1)
         assert res.status in (SolverStatus.ITERATION_LIMIT, SolverStatus.OPTIMAL)
 
-    def test_raw_interface_empty_constraints(self):
-        status, x, obj, iters, tab = simplex_solve(
-            np.zeros((0, 2)), np.zeros(0), np.array([1.0, 2.0])
+    # A problem with no rows is answered by a bound inspection, cold or
+    # warm; every optimum must still certify exactly.
+
+    @staticmethod
+    def _box(c, lb=None, ub=None):
+        n = len(c)
+        return CompiledProblem(
+            c=np.asarray(c, float), c0=0.0,
+            A_ub=np.zeros((0, n)), b_ub=np.zeros(0),
+            A_eq=np.zeros((0, n)), b_eq=np.zeros(0),
+            lb=np.zeros(n) if lb is None else np.asarray(lb, float),
+            ub=np.full(n, np.inf) if ub is None else np.asarray(ub, float),
+            integrality=np.zeros(n, dtype=int), maximize=False,
         )
-        assert status == "optimal" and obj == 0.0
+
+    def test_raw_interface_empty_constraints(self):
+        p = self._box([1.0, 2.0])
+        res = solve_lp_simplex(p)
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.objective == 0.0 and res.iterations == 0
+        assert certify_result(p, res).verdict == "certified"
 
     def test_raw_interface_unbounded_free_direction(self):
-        status, *_ = simplex_solve(
-            np.zeros((0, 1)), np.zeros(0), np.array([-1.0])
+        res = solve_lp_simplex(self._box([-1.0]))
+        assert res.status is SolverStatus.UNBOUNDED
+
+    def test_zero_row_costs_pick_the_bounds(self):
+        # A negative cost sits at its upper bound (a mirrored column at its
+        # finite ub), a positive one at its lower bound.
+        p = self._box([-1.0, 2.0, -1.0], lb=[0.0, -1.0, -np.inf], ub=[2.0, 3.0, 5.0])
+        res = solve_lp_simplex(p)
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.x.tolist() == [2.0, -1.0, 5.0]
+        assert res.objective == -9.0
+        assert res.extra["basis"].at_upper.tolist() == [True, False, False]
+        assert certify_result(p, res).verdict == "certified"
+
+    def test_zero_row_warm_resolve(self):
+        p = self._box([-1.0, 2.0], ub=[2.0, 3.0])
+        basis = solve_lp_simplex(p).extra["basis"]
+        child = CompiledProblem(
+            c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
+            lb=np.array([0.0, 1.0]), ub=np.array([1.0, 3.0]),
+            integrality=p.integrality, maximize=False,
         )
-        assert status == "unbounded"
+        res = solve_lp_simplex(child, warm_start=basis)
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.extra["warm"] == {"used": True, "mode": "primal"}
+        assert res.x.tolist() == [1.0, 1.0]
+        assert certify_result(child, res).verdict == "certified"
 
 
 class TestBranchBoundLimits:

@@ -1,20 +1,20 @@
-"""Revised-simplex engine: parity, degeneracy, refactorization, escape hatch.
+"""Revised-simplex engine: degeneracy, refactorization, certificates.
 
-The revised engine must be observably *boring*: same answers, same
-certificates, same warm-start semantics as the dense tableau — only
-faster.  Coverage:
+The engine's answers are checked against exact certificates
+(:func:`repro.verify.certify_result`) and, where SciPy is installed,
+against HiGHS.  Coverage:
 
-* Engine selection: ``REPRO_SIMPLEX`` escape hatch, explicit-arg
-  precedence, loud ``RuntimeWarning`` on an unknown value.
-* Beale's cycling LP terminates on the revised path, cold and warm.
+* Beale's cycling LP terminates, cold and warm.
 * Degenerate ratio-test ties and bound-flip-only iterations reach the
-  same optimum on both engines.
+  certified optimum.
 * Stress-small refactorization budget (``max_updates=1``) keeps the
   factorization honest without changing the answer.
-* Cross-engine agreement on objectives, exact dual certificates and
-  Farkas rays over the planted generator families.
+* Agreement with HiGHS on objectives, plus exact dual certificates and
+  Farkas rays, over the planted generator families.
 * A rejected warm basis falls back cold *loudly* — the
-  ``warm_start_rejected`` event names the engine and the reason.
+  ``warm_start_rejected`` event names the reason.
+* Numerical trouble on a cold solve is a typed ``ERROR`` with a
+  ``numerical_trouble`` event, through ``solve_compiled`` too.
 * Differential fuzz oracle (all families, smoke-scale budget) certifies
   against the revised backend.
 """
@@ -22,15 +22,10 @@ faster.  Coverage:
 import numpy as np
 import pytest
 
-from repro.solver import SolverStatus
+from repro.solver import SolverStatus, scipy_available, solve_compiled
 from repro.solver.model import CompiledProblem
-from repro.solver.revised import revised_solve
-from repro.solver.simplex import (
-    SIMPLEX_ENGINES,
-    resolve_engine,
-    solve_lp_simplex,
-    standardize,
-)
+from repro.solver.revised import NumericalTrouble, revised_solve
+from repro.solver.simplex import solve_lp_simplex, standardize
 from repro.solver.telemetry import EventRecorder, Telemetry
 from repro.verify.certify import certify_result
 from repro.verify.fuzz import FuzzConfig, run_fuzz
@@ -61,62 +56,49 @@ def _beale():
     )
 
 
-class TestEngineSelection:
-    def test_registry_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMPLEX", raising=False)
-        assert set(SIMPLEX_ENGINES) == {"revised", "tableau"}
-        assert resolve_engine(None) == "revised"
-        assert resolve_engine("tableau") == "tableau"
+def _assert_checked(problem, res):
+    """``res`` certifies exactly and, when SciPy is installed, matches HiGHS
+    on status and objective."""
+    if res.status is not SolverStatus.UNBOUNDED:
+        report = certify_result(problem, res)
+        assert report.verdict == "certified", report.to_dict()
+    if scipy_available():
+        from repro.solver.scipy_backend import solve_lp_scipy
 
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMPLEX", "tableau")
-        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
-        res = solve_lp_simplex(p)
-        assert res.status is SolverStatus.OPTIMAL
-        assert res.extra["engine"] == "tableau"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMPLEX", "tableau")
-        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
-        res = solve_lp_simplex(p, engine="revised")
-        assert res.extra["engine"] == "revised"
-
-    def test_unknown_engine_warns_and_uses_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMPLEX", "bogus")
-        with pytest.warns(RuntimeWarning, match="bogus"):
-            assert resolve_engine(None) == "revised"
+        ref = solve_lp_scipy(problem)
+        assert ref.status is res.status
+        if res.status is SolverStatus.OPTIMAL:
+            assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
 
 class TestBealeCyclingRevised:
     """The stall-triggered Dantzig->Bland switch must terminate Beale's
-    cycling LP on the factored path too — cold and warm."""
+    cycling LP on the factored path — cold and warm."""
 
     def test_cold_terminates_at_optimum(self):
-        res = solve_lp_simplex(_beale(), engine="revised")
+        p = _beale()
+        res = solve_lp_simplex(p)
         assert res.status is SolverStatus.OPTIMAL
-        assert res.extra["engine"] == "revised"
         assert res.objective == pytest.approx(-0.05, abs=1e-9)
+        _assert_checked(p, res)
 
     def test_warm_terminates_at_optimum(self):
         p = _beale()
-        basis = solve_lp_simplex(p, engine="revised").extra["basis"]
+        basis = solve_lp_simplex(p).extra["basis"]
         p2 = CompiledProblem(
             c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq,
             b_eq=p.b_eq, lb=p.lb, ub=np.array([np.inf, np.inf, 0.5, np.inf]),
             integrality=p.integrality, maximize=p.maximize,
         )
-        warm = solve_lp_simplex(p2, warm_start=basis, engine="revised")
-        cold = solve_lp_simplex(p2, engine="tableau")
+        warm = solve_lp_simplex(p2, warm_start=basis)
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.extra["warm"]["used"] is True
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        _assert_checked(p2, warm)
 
     def test_warm_resolve_is_free(self):
         p = _beale()
-        cold = solve_lp_simplex(p, engine="revised")
-        warm = solve_lp_simplex(
-            p, warm_start=cold.extra["basis"], engine="revised"
-        )
+        cold = solve_lp_simplex(p)
+        warm = solve_lp_simplex(p, warm_start=cold.extra["basis"])
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.iterations == 0
         assert warm.objective == pytest.approx(cold.objective)
@@ -125,18 +107,16 @@ class TestBealeCyclingRevised:
 class TestDegenerateAndBoundFlips:
     def test_degenerate_ratio_ties_agree(self):
         # Duplicated rows force exact ties in the leaving-row ratio test;
-        # the tie-break must still terminate and both engines must land on
-        # the same optimum.
+        # the tie-break must still terminate at the certified optimum.
         p = _lp(
             c=[-1.0, -1.0],
             A=[[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
             b=[1.0, 1.0, 2.0],
         )
-        rev = solve_lp_simplex(p, engine="revised")
-        tab = solve_lp_simplex(p, engine="tableau")
+        rev = solve_lp_simplex(p)
         assert rev.status is SolverStatus.OPTIMAL
         assert rev.objective == pytest.approx(-2.0, abs=1e-9)
-        assert tab.objective == pytest.approx(rev.objective, abs=1e-9)
+        _assert_checked(p, rev)
 
     def test_bound_flip_only_iterations(self):
         # Upper bounds bind before any constraint: the optimum is reached
@@ -147,12 +127,11 @@ class TestDegenerateAndBoundFlips:
             b=[10.0],
             ub=[2.0, 2.0],
         )
-        rev = solve_lp_simplex(p, engine="revised")
-        tab = solve_lp_simplex(p, engine="tableau")
+        rev = solve_lp_simplex(p)
         assert rev.status is SolverStatus.OPTIMAL
         assert rev.objective == pytest.approx(-4.0, abs=1e-12)
         assert np.allclose(rev.x, [2.0, 2.0])
-        assert tab.objective == pytest.approx(rev.objective, abs=1e-12)
+        _assert_checked(p, rev)
 
     def test_at_upper_statuses_survive_roundtrip(self):
         p = _lp(
@@ -161,10 +140,8 @@ class TestDegenerateAndBoundFlips:
             b=[10.0],
             ub=[2.0, 2.0],
         )
-        cold = solve_lp_simplex(p, engine="revised")
-        warm = solve_lp_simplex(
-            p, warm_start=cold.extra["basis"], engine="revised"
-        )
+        cold = solve_lp_simplex(p)
+        warm = solve_lp_simplex(p, warm_start=cold.extra["basis"])
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.iterations == 0
         assert np.allclose(warm.x, [2.0, 2.0])
@@ -198,65 +175,100 @@ class TestRefactorizationPolicy:
 
 
 class TestCrossEngineAgreement:
+    """The two LP engines of the stack — the revised simplex and HiGHS —
+    agree, and the revised engine's certificates check exactly."""
+
     def test_planted_lps_certify_on_both_engines(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             case = planted_lp(rng)
-            rev = solve_lp_simplex(case.instance, engine="revised")
-            tab = solve_lp_simplex(case.instance, engine="tableau")
-            assert rev.status is tab.status
-            if rev.status is not SolverStatus.OPTIMAL:
-                continue
-            assert rev.objective == pytest.approx(tab.objective, abs=1e-7)
-            for res in (rev, tab):
-                report = certify_result(case.instance, res)
-                assert report.verdict == "certified", (res.extra["engine"],
-                                                       report.to_dict())
+            rev = solve_lp_simplex(case.instance)
+            if rev.status is SolverStatus.OPTIMAL:
+                assert rev.objective == pytest.approx(case.optimum, abs=1e-6)
+            _assert_checked(case.instance, rev)
 
     def test_farkas_rays_certify_on_both_engines(self):
         # lb=0 with row -x1 <= -2 and ub=1: provably empty.
         p = _lp(c=[1.0], A=[[-1.0]], b=[-2.0], ub=[1.0])
-        for engine in SIMPLEX_ENGINES:
-            res = solve_lp_simplex(p, engine=engine)
-            assert res.status is SolverStatus.INFEASIBLE
-            assert res.extra.get("farkas_certificate") is not None
-            report = certify_result(p, res)
-            assert report.verdict == "certified", (engine, report.to_dict())
+        res = solve_lp_simplex(p)
+        assert res.status is SolverStatus.INFEASIBLE
+        assert res.extra.get("farkas_certificate") is not None
+        _assert_checked(p, res)
 
     def test_unbounded_agrees(self):
         p = _lp(c=[-1.0, 0.0], A=[[0.0, 1.0]], b=[1.0])
-        for engine in SIMPLEX_ENGINES:
-            res = solve_lp_simplex(p, engine=engine)
-            assert res.status is SolverStatus.UNBOUNDED, engine
+        res = solve_lp_simplex(p)
+        assert res.status is SolverStatus.UNBOUNDED
+        _assert_checked(p, res)
+
+
+class TestNumericalTrouble:
+    """A cold solve that loses its basis is a typed ``ERROR`` plus one
+    ``numerical_trouble`` event, never a wrong answer or a traceback."""
+
+    @pytest.fixture
+    def singular(self, monkeypatch):
+        import repro.solver.simplex as simplex_mod
+
+        def broken(*args, **kwargs):
+            raise NumericalTrouble("singular basis on scheduled refactorization")
+
+        monkeypatch.setattr(simplex_mod, "revised_solve", broken)
+
+    def test_cold_lp_returns_error_and_event(self, singular):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
+        rec = EventRecorder()
+        res = solve_lp_simplex(p, telemetry=Telemetry(rec))
+        assert res.status is SolverStatus.ERROR
+        assert res.x is None
+        assert res.extra["reason"] == "singular basis on scheduled refactorization"
+        events = rec.of_kind("numerical_trouble")
+        assert len(events) == 1
+        assert events[0].data["where"] == "simplex"
+        assert events[0].data["reason"] == res.extra["reason"]
+        assert not rec.of_kind("backend_degraded")
+
+    def test_solve_compiled_lp(self, singular):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
+        rec = EventRecorder()
+        res = solve_compiled(p, backend="simplex", use_presolve=False, listener=rec)
+        assert res.status is SolverStatus.ERROR
+        assert "singular" in res.extra["reason"]
+        assert len(rec.of_kind("numerical_trouble")) == 1
+        assert rec.of_kind("solve_end")[-1].data["status"] == "error"
+
+    def test_solve_compiled_milp(self, singular):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.5, 6.5])
+        p = CompiledProblem(
+            c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
+            lb=p.lb, ub=p.ub, integrality=np.ones(2, dtype=int), maximize=False,
+        )
+        res = solve_compiled(p, backend="simplex", use_presolve=False)
+        assert res.status is SolverStatus.ERROR
+        assert res.x is None
 
 
 class TestLoudWarmRejection:
     def test_layout_mismatch_emits_event(self):
         p1 = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
         p2 = _lp([-1.0, -1.0, -1.0], [[1.0, 1.0, 1.0]], [3.0])
-        basis = solve_lp_simplex(p1, engine="revised").extra["basis"]
-        for engine in SIMPLEX_ENGINES:
-            rec = EventRecorder()
-            res = solve_lp_simplex(
-                p2, warm_start=basis, telemetry=Telemetry(rec), engine=engine
-            )
-            assert res.status is SolverStatus.OPTIMAL
-            assert res.extra["warm"] == {
-                "used": False, "reason": "layout_mismatch",
-            }
-            events = rec.of_kind("warm_start_rejected")
-            assert len(events) == 1
-            assert events[0].data["where"] == "simplex"
-            assert events[0].data["engine"] == engine
-            assert events[0].data["reason"] == "layout_mismatch"
+        basis = solve_lp_simplex(p1).extra["basis"]
+        rec = EventRecorder()
+        res = solve_lp_simplex(p2, warm_start=basis, telemetry=Telemetry(rec))
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.extra["warm"] == {
+            "used": False, "reason": "layout_mismatch",
+        }
+        events = rec.of_kind("warm_start_rejected")
+        assert len(events) == 1
+        assert events[0].data["where"] == "simplex"
+        assert events[0].data["reason"] == "layout_mismatch"
 
     def test_accepted_warm_start_stays_quiet(self):
         p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.0, 6.0])
-        basis = solve_lp_simplex(p, engine="revised").extra["basis"]
+        basis = solve_lp_simplex(p).extra["basis"]
         rec = EventRecorder()
-        res = solve_lp_simplex(
-            p, warm_start=basis, telemetry=Telemetry(rec), engine="revised"
-        )
+        res = solve_lp_simplex(p, warm_start=basis, telemetry=Telemetry(rec))
         assert res.extra["warm"]["used"] is True
         assert not rec.of_kind("warm_start_rejected")
 
@@ -351,7 +363,6 @@ class TestWarmInfeasibilityProofs:
         events = rec.of_kind("warm_start_rejected")
         assert len(events) == 1
         assert events[0].data["reason"] == "repair_failed"
-        assert events[0].data["engine"] == "revised"
 
     def test_branched_corpus_warm_and_cold_agree(self, directions):
         # Random bounded LPs with equality rows, each branched on every
@@ -396,10 +407,8 @@ class TestWarmInfeasibilityProofs:
 
 
 class TestFuzzOracleRevisedBackend:
-    def test_all_families_mini_campaign_certifies(self, monkeypatch):
-        # The oracle solves through the default engine; pin it so the run
-        # exercises the revised path even under an escape-hatch env.
-        monkeypatch.delenv("REPRO_SIMPLEX", raising=False)
+    @pytest.mark.skipif(not scipy_available(), reason="the fuzz oracle compares against HiGHS")
+    def test_all_families_mini_campaign_certifies(self):
         assert len(FAMILIES) == 10
         report = run_fuzz(FuzzConfig(seed=41, max_cases=20, shrink=False))
         assert report.cases == 20
