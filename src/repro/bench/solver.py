@@ -364,12 +364,16 @@ def _bb_leg(
 def _benders_leg(tsp: TwoStageProblem, workers: int,
                  telemetry: Telemetry | None = None) -> dict:
     opts = BendersOptions(n_workers=workers)
+    # The master runs on HiGHS when SciPy is importable and on the
+    # pure-Python stack otherwise, so the bench also runs without SciPy.
+    backend = "scipy" if scipy_available() else "simplex"
     t0 = time.perf_counter()
-    res = solve_benders(tsp, options=opts, listener=telemetry)
+    res = solve_benders(tsp, options=opts, backend=backend, listener=telemetry)
     wall = time.perf_counter() - t0
     if res.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"bench Benders terminated {res.status.value}")
     return {
+        "backend": backend,
         "wall_s": wall,
         "iterations": res.nodes,
         "workers": int(res.extra.get("workers", workers)),
@@ -671,7 +675,8 @@ def summary_lines(record: dict) -> list[str]:
             f"({record['drrp']['warm']['nodes']} nodes)"
         ),
         (
-            f"benders: {bd['scenarios']} scenarios, serial "
+            f"benders: {bd['scenarios']} scenarios, master on "
+            f"{bd['serial'].get('backend', 'scipy')}, serial "
             f"{bd['serial']['wall_s'] * 1e3:.0f} ms vs parallel "
             f"{bd['parallel']['wall_s'] * 1e3:.0f} ms on "
             f"{bd['parallel']['workers']} workers ({bd['speedup']:.2f}x, "

@@ -1095,6 +1095,8 @@ def _cmd_submit(args) -> int:
     except (ServiceError, OSError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     plan = result.plan
     if args.as_json:
         print(json.dumps(plan, indent=2, sort_keys=True))

@@ -19,8 +19,10 @@ its parent's pool (it builds its own on first use), and a call with a
 different worker count replaces it (calls already running on the old
 pool still finish).  Workers fork from the process as it is when the
 executor is first used, so later changes to the parent's environment or
-module state do not reach them (nor does a task function defined in
-``__main__`` after that).  A worker that dies mid-call breaks the
+module state do not reach them.  The one exception is a task function from
+``__main__`` that was defined (or redefined) after the workers forked:
+they could not unpickle it (or would run its old version), so such a call
+replaces the pool first.  A worker that dies mid-call breaks the
 pool: that call raises :class:`~concurrent.futures.process.BrokenProcessPool`
 and the broken executor is discarded, so the next call starts a fresh one.
 Workers outlive calls, so each one also exits by itself within a second
@@ -57,6 +59,7 @@ holds across the fork.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -148,6 +151,8 @@ def _child_init() -> None:
 _executor: ProcessPoolExecutor | None = None
 _executor_key: tuple[int, int] | None = None
 _executor_lock = threading.Lock()
+#: ``__main__``'s namespace when the shared executor's workers forked.
+_main_at_fork: dict = {}
 
 
 def _reset_lock_after_fork() -> None:
@@ -160,27 +165,43 @@ def _reset_lock_after_fork() -> None:
 os.register_at_fork(after_in_child=_reset_lock_after_fork)
 
 
-def _shared_executor(n_workers: int) -> ProcessPoolExecutor:
-    """This process's executor for ``n_workers``, built on first use."""
-    global _executor, _executor_key
+def _known_at_fork(fn: Callable) -> bool:
+    """False for a ``__main__`` function the workers cannot resolve by name:
+    one defined, or redefined, after they forked."""
+    if getattr(fn, "__module__", None) != "__main__":
+        return True
+    name = getattr(fn, "__qualname__", "").split(".", 1)[0]
+    return name in _main_at_fork and _main_at_fork[name] is getattr(
+        sys.modules["__main__"], name, None
+    )
+
+
+def _shared_executor(n_workers: int, fn: Callable) -> ProcessPoolExecutor:
+    """This process's executor for ``n_workers``, built on first use and
+    rebuilt when its workers would not know the task function ``fn``."""
+    global _executor, _executor_key, _main_at_fork
     key = (os.getpid(), n_workers)
     with _executor_lock:
-        if _executor_key != key:
+        if _executor_key != key or not _known_at_fork(fn):
             if _executor is not None and _executor_key[0] == key[0]:
                 _executor.shutdown(wait=False)
             # An executor inherited across a fork belongs to the parent:
             # drop the reference without shutting it down.
             _executor = ProcessPoolExecutor(max_workers=n_workers, initializer=_child_init)
             _executor_key = key
+            # The workers fork on this executor's first submit, just below.
+            _main_at_fork = dict(vars(sys.modules["__main__"]))
         return _executor
 
 
-def _pool_map(fn: Callable, items: list, n_workers: int, chunksize: int) -> list:
-    """``pool.map`` on the shared executor; a broken pool is discarded."""
+def _pool_map(call: Callable, items: list, n_workers: int, chunksize: int,
+              fn: Callable) -> list:
+    """``pool.map`` of ``call`` (``fn`` itself or a wrapper around it) on the
+    shared executor; a broken pool is discarded."""
     global _executor, _executor_key
-    pool = _shared_executor(n_workers)
+    pool = _shared_executor(n_workers, fn)
     try:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(call, items, chunksize=chunksize))
     except BrokenProcessPool:
         with _executor_lock:
             if _executor is pool:
@@ -329,7 +350,7 @@ def parallel_map(
     if chunksize is None:
         chunksize = max(1, len(items) // (4 * n_workers))
     if telemetry is None:
-        return _pool_map(fn, items, n_workers, chunksize)
+        return _pool_map(fn, items, n_workers, chunksize, fn)
     task = _CapturedTask(fn, trace)
-    outputs = _pool_map(task, items, n_workers, chunksize)
+    outputs = _pool_map(task, items, n_workers, chunksize, fn)
     return _forward(telemetry, outputs, trace)

@@ -92,14 +92,21 @@ def jsonable(obj):
 
 
 def canonicalize(obj):
-    """Round floats to 12 significant digits and sort mappings, recursively."""
-    obj = jsonable(obj)
+    """Round floats to 12 significant digits and sort mappings, recursively.
+
+    :func:`jsonable` runs once over the whole tree; its output is already
+    JSON-typed, so the rounding/sorting pass never re-coerces a subtree.
+    """
+    return _round_and_sort(jsonable(obj))
+
+
+def _round_and_sort(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: canonicalize(obj[k]) for k in sorted(obj)}
+        return {k: _round_and_sort(obj[k]) for k in sorted(obj)}
     if isinstance(obj, list):
-        return [canonicalize(v) for v in obj]
+        return [_round_and_sort(v) for v in obj]
     return obj
 
 

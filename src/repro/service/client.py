@@ -1,9 +1,11 @@
-"""Python client for the planning service (stdlib-only: ``urllib``).
+"""Python client for the planning service (stdlib-only: ``http.client``).
 
 :class:`ServiceClient` wraps the JSON API: submit, poll, wait, fetch,
 plus health and metrics.  Saturation (429/503) surfaces as
 :class:`Saturated` carrying the server's ``Retry-After`` hint, so
 callers implement backoff explicitly instead of silently spinning.
+Each calling thread keeps one persistent HTTP/1.1 connection, so a
+request pays no TCP handshake (see :class:`ServiceClient`).
 
 :class:`ReplanPolicy` is the rolling-horizon session the paper's §V-D
 practice maps onto: each slot it submits the *suffix* instance (demand
@@ -17,11 +19,12 @@ state, not one per tick.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from repro.obs.propagate import TRACEPARENT_HEADER, TraceContext, current_trace
 
@@ -84,18 +87,79 @@ class SubmitResult:
         )
 
 
+#: What a reused socket the server has since closed raises on the next
+#: request (``RemoteDisconnected`` is itself a ``ConnectionResetError``).
+_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
 class ServiceClient:
-    """Minimal JSON/HTTP client for one planning server."""
+    """Minimal JSON/HTTP client for one planning server.
+
+    Each thread that calls it keeps its own persistent (keep-alive)
+    connection.  When a reused connection turns out to be closed by the
+    server (idle timeout, restart) before any byte of the reply arrived,
+    the request is sent once more on a fresh connection.  That resend is
+    safe because a submission is content-addressed by its request digest:
+    a duplicate coalesces with the first or hits the plan cache.
+    :meth:`close` (or leaving a ``with`` block) closes every thread's
+    connection; a later request simply reconnects.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0,
                  trace: TraceContext | None = None) -> None:
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// URL: {base_url!r}")
+        self._address = (url.hostname, url.port)
+        self._path = url.path
         self.timeout = timeout
         #: Explicit trace context for outgoing requests; when unset, the
         #: thread's ambient context (``current_trace()``) is used instead.
         self.trace = trace
+        self._local = threading.local()
+        # Every thread's connection, so close() reaches them all.
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection (call with no request in flight)."""
+        with self._connections_lock:
+            connections = list(self._connections.values())
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            self._local.conn = conn
+            with self._connections_lock:
+                # A thread that has ended will not send again: close its
+                # connection now rather than when the client goes away.
+                for thread in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(thread).close()
+                self._connections[threading.current_thread()] = conn
+        return conn
+
+    @staticmethod
+    def _response(conn: http.client.HTTPConnection, method: str, target: str,
+                  data: bytes | None, headers: dict) -> http.client.HTTPResponse:
+        """Send one request and read its status line and headers."""
+        try:
+            conn.request(method, target, body=data, headers=headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves the connection unusable
+            raise
 
     def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict, dict]:
         data = None if body is None else json.dumps(body).encode()
@@ -103,18 +167,26 @@ class ServiceClient:
         ctx = self.trace if self.trace is not None else current_trace()
         if ctx is not None:
             headers[TRACEPARENT_HEADER] = ctx.to_traceparent()
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers,
-        )
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read() or b"{}"), dict(resp.headers)
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read() or b"{}")
-            except json.JSONDecodeError:
-                payload = {}
-            return exc.code, payload, dict(exc.headers or {})
+            resp = self._response(conn, method, self._path + path, data, headers)
+        except _STALE_CONNECTION:
+            if not reused:
+                raise
+            resp = self._response(conn, method, self._path + path, data, headers)
+        try:
+            raw = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        try:
+            payload = json.loads(raw or b"{}")
+        except json.JSONDecodeError:
+            if resp.status < 400:
+                raise
+            payload = {}
+        return resp.status, payload, dict(resp.headers)
 
     def _checked(self, method: str, path: str, body: dict | None = None,
                  ok: tuple[int, ...] = (200, 202)) -> tuple[int, dict]:

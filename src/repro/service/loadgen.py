@@ -164,6 +164,7 @@ def _saturation_probe(cfg: LoadgenConfig) -> dict:
                 rejected += 1
                 retry_after = exc.retry_after
     finally:
+        client.close()
         httpd.shutdown()
         httpd.server_close()
         service.close()
@@ -207,6 +208,7 @@ def run_loadgen(cfg: LoadgenConfig | None = None) -> dict:
         health = client.healthz()
         metrics = client.metrics()
     finally:
+        client.close()
         httpd.shutdown()
         httpd.server_close()
         service.close()

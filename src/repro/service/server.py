@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import math
 import queue
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -419,7 +420,35 @@ class PlanningHTTPServer(ThreadingHTTPServer):
                  quiet: bool = True) -> None:
         self.service = service
         self.quiet = quiet
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, end every keep-alive connection, join handlers.
+
+        Without this an idle client connection would hold its handler
+        thread (and the join below) until the idle timeout.  Only the read
+        side is shut: an idle handler sees end-of-file at once, and one in
+        the middle of a request still sends its reply before it exits.
+        """
+        with self._connections_lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        super().server_close()
 
     @property
     def url(self) -> str:
@@ -430,6 +459,14 @@ class PlanningHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: PlanningHTTPServer
+    # Keep-alive transport: TCP_NODELAY, so a reply on a reused connection
+    # is not held back by Nagle waiting on the client's delayed ACK; a
+    # buffered ``wfile``, so a reply's headers and body leave in the one
+    # write of ``handle_one_request``'s flush; and an idle timeout, so a
+    # client that vanished cannot hold its handler thread forever.
+    disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
+    timeout = 15.0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -448,6 +485,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:g}")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -460,10 +499,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
-        if length <= 0:
-            return None, "request body required"
-        if length > 16 * 1024 * 1024:
-            return None, "request body too large"
+        if length <= 0 or length > 16 * 1024 * 1024:
+            # Any body left unread would be parsed as the next request on
+            # this keep-alive connection: reply, then hang up.
+            self.close_connection = True
+            return None, "request body required" if length <= 0 else "request body too large"
         raw = self.rfile.read(length)
         try:
             return json.loads(raw), None

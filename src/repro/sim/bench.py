@@ -167,12 +167,12 @@ def _service_legs(cfg: SimBenchConfig) -> dict:
     url = f"http://127.0.0.1:{httpd.server_address[1]}"
     bp_slots = min(cfg.service_slots, 2 * cfg.control)
     bp_config = replace(cfg.campaign_config(slots=bp_slots), policies=("oracle",))
-    try:
-        from repro.market.auction import MeanBids
-        from repro.service.client import ServiceClient, drrp_payload
-        from repro.sim.policies import ServiceDRRPPolicy
+    from repro.market.auction import MeanBids
+    from repro.service.client import ServiceClient, drrp_payload
+    from repro.sim.policies import ServiceDRRPPolicy
 
-        client = ServiceClient(url, timeout=10.0)
+    client = ServiceClient(url, timeout=10.0)
+    try:
         # Occupy the one queue slot (no workers will ever drain it) so
         # every replan below hits a saturated server, not an idle one.
         client.submit(drrp_payload([1.0], [0.1]))
@@ -192,6 +192,7 @@ def _service_legs(cfg: SimBenchConfig) -> dict:
                             "svc-reject": reject_policy},
         )
     finally:
+        client.close()
         httpd.shutdown()
         httpd.server_close()
         service.close()

@@ -359,6 +359,9 @@ def run_campaign(
         (name, make_policy(name, inputs, config, service_url, telemetry=hub))
         for name in config.policies
     ]
+    # Service clients made for the roster are closed below; those of
+    # ``extra_policies`` belong to the caller.
+    own_clients = [p.client for _, p in roster if isinstance(p, ServiceDRRPPolicy)]
     for name, policy in (extra_policies or {}).items():
         roster.append((name, policy))
 
@@ -389,6 +392,8 @@ def run_campaign(
             service_requests=int(getattr(policy, "requests", 0)),
             interruptions=int(getattr(policy, "interruptions", 0)),
         )
+    for client in own_clients:
+        client.close()
 
     elapsed = time.perf_counter() - t_start
     if "oracle" in outcomes:

@@ -199,7 +199,15 @@ def branch_and_bound(
         else:
             res = lp_solver(node_problem)
         total_lp_iters += res.iterations
-        winfo = res.extra.get("warm") if isinstance(res.extra, dict) else None
+        extra = res.extra if isinstance(res.extra, dict) else {}
+        if res.status is SolverStatus.ERROR and telemetry and "reason" in extra:
+            # The node LP solver runs without the hub (it would double
+            # every lp_warm/lp_cold), so its typed failure is relayed here.
+            telemetry.emit(
+                "numerical_trouble", where="simplex", node=nodes_explored,
+                reason=extra["reason"],
+            )
+        winfo = extra.get("warm")
         warm_used = bool(winfo and winfo.get("used"))
         if warm_used:
             lp_warm_hits += 1
@@ -282,7 +290,11 @@ def branch_and_bound(
                 status=root_fail, x=x_out, objective=problem.objective_value(x_out),
                 nodes=1, iterations=total_lp_iters,
             )
-        return SolverResult(status=root.status, nodes=1, iterations=total_lp_iters)
+        reason = root.extra.get("reason") if isinstance(root.extra, dict) else None
+        return SolverResult(
+            status=root.status, nodes=1, iterations=total_lp_iters,
+            extra={} if reason is None else {"reason": reason},
+        )
 
     # Minimization internally: CompiledProblem.objective_value undoes max flips,
     # so compare on the internal (minimize) scale c@x + c0.

@@ -58,7 +58,8 @@ Event kinds (``SolveEvent.kind``) emitted by the stack:
 ``numerical_trouble``
     A cold simplex solve lost its basis (a refactorization came out
     singular) and returns ``ERROR``; payload ``where="simplex"`` and the
-    ``reason``.
+    ``reason``.  Branch-and-bound relays it for its node LPs, adding the
+    ``node``.
 ``deadline_exceeded``
     A layer observed the shared deadline expiring and is unwinding.
 ``fuzz_case`` / ``fuzz_disagreement`` / ``fuzz_summary``

@@ -2,6 +2,11 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +77,41 @@ class TestRunSolverBench:
         assert lines[0].startswith("bb:")
         assert lines[2].startswith("benders:")
         assert lines[3].startswith("large:")
+
+    def test_master_backend_recorded(self, record):
+        rec, _ = record
+        expected = "scipy" if scipy_available() else "simplex"
+        for leg in ("serial", "parallel"):
+            assert rec["benders"][leg]["backend"] == expected
+        assert f"master on {expected}" in summary_lines(rec)[2]
+
+    def test_runs_without_scipy(self, tmp_path):
+        # A module named scipy that refuses to import shadows the real one.
+        (tmp_path / "scipy.py").write_text('raise ImportError("blocked")\n')
+        script = textwrap.dedent("""
+            import json, warnings
+            from repro.bench import SolverBenchConfig, run_solver_bench
+            cfg = SolverBenchConfig(
+                seed=1, bb_instances=1, bb_vars=8, bb_rows=6, node_limit=300,
+                drrp_horizon=6, scenarios=8, recourse_rows=8, recourse_vars=12,
+                benders_workers=2, large_horizon=6, large_classes=2,
+                large_resolves=6, out=None,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rec = run_solver_bench(cfg)
+            print(json.dumps({"backends": [rec["benders"][leg]["backend"]
+                                           for leg in ("serial", "parallel")],
+                              "highs": "highs" in rec["large"]}))
+        """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == {
+            "backends": ["simplex", "simplex"], "highs": False,
+        }
 
     def test_cpu_count_is_delivered_not_advertised(self, record):
         rec, _ = record

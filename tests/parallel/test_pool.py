@@ -3,7 +3,11 @@
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -133,6 +137,38 @@ class TestSharedExecutor:
         while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not any(alive(pid) for pid in workers)
+
+    def test_main_task_defined_after_the_fork_runs(self, tmp_path):
+        """A ``__main__`` task function the forked workers never saw (new, or
+        redefined) gets a fresh pool instead of a ``BrokenProcessPool``."""
+        script = tmp_path / "late_main.py"
+        script.write_text(textwrap.dedent("""
+            from repro.parallel import parallel_map
+
+            def early(x):
+                return x + 1
+
+            print(parallel_map(early, range(4), n_workers=2, chunksize=1))
+
+            def late(x):
+                return x * 10
+
+            print(parallel_map(late, range(4), n_workers=2, chunksize=1))
+
+            def early(x):
+                return -x
+
+            print(parallel_map(early, range(4), n_workers=2, chunksize=1))
+            print(parallel_map(early, range(4), n_workers=2, chunksize=1))
+        """))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:4] == [
+            "[1, 2, 3, 4]", "[0, 10, 20, 30]", "[0, -1, -2, -3]", "[0, -1, -2, -3]",
+        ]
 
 
 class TestWorkersEnvOverride:

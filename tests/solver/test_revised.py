@@ -247,6 +247,21 @@ class TestNumericalTrouble:
         assert res.status is SolverStatus.ERROR
         assert res.x is None
 
+    def test_milp_root_failure_keeps_reason_and_emits_once(self, singular):
+        p = _lp([-3.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], [4.5, 6.5])
+        p = CompiledProblem(
+            c=p.c, c0=p.c0, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
+            lb=p.lb, ub=p.ub, integrality=np.ones(2, dtype=int), maximize=False,
+        )
+        rec = EventRecorder()
+        res = solve_compiled(p, backend="simplex", use_presolve=False, listener=rec)
+        assert res.status is SolverStatus.ERROR
+        assert res.extra["reason"] == "singular basis on scheduled refactorization"
+        events = rec.of_kind("numerical_trouble")
+        assert len(events) == 1
+        assert events[0].data["where"] == "simplex"
+        assert events[0].data["reason"] == res.extra["reason"]
+
 
 class TestLoudWarmRejection:
     def test_layout_mismatch_emits_event(self):
