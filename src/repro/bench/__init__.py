@@ -4,20 +4,20 @@
 perf baseline: seeded DRRP / random-MILP branch-and-bound runs and an
 SRRP-style two-stage Benders solve, reporting node throughput,
 pivots/solve, warm-hit rate, and wall time to ``BENCH_solver.json``.
-``docs/performance.md`` explains the methodology and how CI gates on the
-committed record.
+``docs/performance.md`` explains the methodology.  Every family's
+record (solver, fleet, sim, service) is gated by one table,
+:data:`repro.bench.gates.GATES`, through :func:`check_record`.
 """
 
 from .fleet import (
     FleetBenchConfig,
-    check_fleet_regression,
     fleet_summary_lines,
     run_fleet_bench,
 )
+from .gates import check_record
 from .report import report_lines
 from .solver import (
     SolverBenchConfig,
-    check_solver_regression,
     run_solver_bench,
     summary_lines,
 )
@@ -25,8 +25,7 @@ from .solver import (
 __all__ = [
     "FleetBenchConfig",
     "SolverBenchConfig",
-    "check_fleet_regression",
-    "check_solver_regression",
+    "check_record",
     "fleet_summary_lines",
     "report_lines",
     "run_fleet_bench",

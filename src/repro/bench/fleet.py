@@ -20,12 +20,11 @@ Four seeded legs, all deterministic given the config:
 
 The record is written as ``BENCH_fleet.json`` (``REPRO_BENCH_DIR``
 honored).  CI gates only machine-independent quantities: the plan must be
-feasible, the cohort cost ratio must stay within the paper-quality band
-(mean <= ``COST_RATIO_CEILING``), and the shape-cache hit rate and
-escalation fraction must not collapse relative to the committed baseline
-(see :func:`check_fleet_regression` and ``docs/fleet.md``).  Absolute
-wall times and tenants/minute are recorded for humans but never compared
-across hosts.
+feasible, the cohort cost ratio must stay within the paper-quality band,
+and the shape-cache hit rate and escalation fraction must not collapse
+relative to the committed baseline (see the ``fleet`` rows of
+:mod:`repro.bench.gates` and ``docs/fleet.md``).  Absolute wall times and
+tenants/minute are recorded for humans but never compared across hosts.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.solver import write_bench_record
 from repro.core.drrp import solve_drrp
 from repro.fleet import (
     FleetConfig,
@@ -47,22 +45,15 @@ from repro.fleet import (
     verify_fleet_feasible,
 )
 from repro.obs.spans import span
+from repro.serialize import write_bench_record
 from repro.solver import reset_compile_cache_stats
 from repro.solver.telemetry import Telemetry
 
 __all__ = [
     "FleetBenchConfig",
     "run_fleet_bench",
-    "check_fleet_regression",
     "fleet_summary_lines",
 ]
-
-#: Gate: fail CI when a ratio drops below this fraction of the baseline's.
-REGRESSION_TOLERANCE = 0.75
-
-#: Absolute quality ceiling for the heuristic tier (acceptance criterion):
-#: mean heuristic/MILP cost ratio on the escalation-eligible cohort.
-COST_RATIO_CEILING = 1.05
 
 
 @dataclass(frozen=True)
@@ -190,59 +181,6 @@ def run_fleet_bench(cfg: FleetBenchConfig | None = None, listener=None) -> dict:
     return record
 
 
-def check_fleet_regression(
-    record: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE
-) -> list[str]:
-    """Compare a fresh record against the committed baseline.
-
-    Returns human-readable failure strings (empty = pass).  Gates are
-    machine-independent: feasibility, the heuristic's cohort cost ratio
-    (absolute ceiling plus a band around the baseline), the shape-cache
-    hit rate, and the escalation fraction.  Throughput is informational.
-    """
-    failures: list[str] = []
-    if not record["feasibility"]["feasible"]:
-        failures.append("fleet plan is infeasible against its pools")
-
-    cur_mean = float(record["cohort"]["cost_ratio_mean"])
-    base_mean = float(baseline["cohort"]["cost_ratio_mean"])
-    if cur_mean > COST_RATIO_CEILING:
-        failures.append(
-            f"heuristic cost ratio mean {cur_mean:.4f} exceeds absolute "
-            f"ceiling {COST_RATIO_CEILING:.2f}"
-        )
-    # Band around the baseline: the *excess over optimal* must not grow by
-    # more than 1/tolerance (ratios near 1.0 make a plain ratio-of-ratios
-    # gate vacuous).
-    base_excess = max(base_mean - 1.0, 0.0)
-    ceiling = 1.0 + base_excess / tolerance + 1e-9
-    if base_excess > 0 and cur_mean > ceiling:
-        failures.append(
-            f"heuristic cost ratio mean regressed: {cur_mean:.4f} vs baseline "
-            f"{base_mean:.4f} (ceiling {ceiling:.4f})"
-        )
-
-    cur_rate = float(record["plan"]["shape_hit_rate"])
-    base_rate = float(baseline["plan"]["shape_hit_rate"])
-    if cur_rate < tolerance * base_rate:
-        failures.append(
-            f"shape-cache hit rate regressed: {cur_rate:.0%} vs baseline "
-            f"{base_rate:.0%} (floor {tolerance * base_rate:.0%})"
-        )
-
-    cur_esc = float(record["plan"]["escalation_fraction"])
-    base_esc = float(baseline["plan"]["escalation_fraction"])
-    # A collapse to ~0 means the gap certificate stopped firing; a blow-up
-    # means the heuristic degraded and everything escalates.
-    if base_esc > 0 and not (tolerance * base_esc <= cur_esc <= base_esc / tolerance):
-        failures.append(
-            f"escalation fraction drifted: {cur_esc:.1%} vs baseline "
-            f"{base_esc:.1%} (band {tolerance * base_esc:.1%}.."
-            f"{base_esc / tolerance:.1%})"
-        )
-    return failures
-
-
 def fleet_summary_lines(record: dict) -> list[str]:
     plan = record["plan"]
     cohort = record["cohort"]
@@ -265,7 +203,7 @@ def fleet_summary_lines(record: dict) -> list[str]:
         (
             f"cohort: heuristic/MILP mean {cohort['cost_ratio_mean']:.4f}, "
             f"max {cohort['cost_ratio_max']:.4f} over {cohort['sampled']} "
-            f"eligible tenants (ceiling {COST_RATIO_CEILING:.2f})"
+            f"eligible tenants"
         ),
         (
             f"feasible: {record['feasibility']['feasible']} "

@@ -1,13 +1,13 @@
 """Benchmark trajectory report: committed baselines vs fresh records.
 
 The repo commits one JSON baseline per benchmark family
-(``BENCH_solver.json``, ``BENCH_sim.json``; CI also produces
-``BENCH_service.json``) and CI writes fresh records into a scratch
-directory (``REPRO_BENCH_DIR``, conventionally ``bench-out/``).  This
-module turns any pile of such records into one table of the
-machine-independent *headline* metrics per family — the same ratios the
-regression gates compare — with a delta column when both a committed and
-a fresh record exist.
+(``BENCH_solver.json``, ``BENCH_fleet.json``, ``BENCH_sim.json``; CI
+also produces ``BENCH_service.json``) and CI writes fresh records into a
+scratch directory (``REPRO_BENCH_DIR``, conventionally ``bench-out/``).
+This module turns any pile of such records into one table per family of
+the numbers the rows of :mod:`repro.bench.gates` hold (its
+:func:`~repro.bench.gates.headline_metrics`), with a delta column when
+both a committed and a fresh record exist.
 
 ``repro bench-report`` is the CLI face; everything here is pure
 dict-in/lines-out so tests can drive it on fixture records.
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .gates import bench_kind, headline_metrics
+
 __all__ = [
     "BENCH_FILES",
     "bench_kind",
@@ -27,49 +29,9 @@ __all__ = [
 ]
 
 #: Committed baseline filenames, in display order.
-BENCH_FILES = ("BENCH_solver.json", "BENCH_sim.json", "BENCH_service.json")
-
-
-def bench_kind(record: dict) -> str:
-    """The benchmark family of one record (solver / sim / service / ?)."""
-    # The service load generator labels its record "name"; the others
-    # use "benchmark".  Either way the value is the family.
-    return str(record.get("benchmark") or record.get("name") or "?")
-
-
-def headline_metrics(record: dict) -> dict[str, float]:
-    """The machine-independent headline numbers of one bench record.
-
-    Keyed with stable display names; unknown families yield an empty
-    dict rather than raising, so a report never fails on a new record.
-    """
-    kind = bench_kind(record)
-    out: dict[str, float] = {}
-    try:
-        if kind == "solver":
-            out["bb node-throughput ratio (x)"] = float(
-                record["bb"]["node_throughput_ratio"])
-            out["bb warm-hit rate"] = float(record["bb"]["warm"]["warm_hit_rate"])
-            out["benders speedup (x)"] = float(record["benders"]["speedup"])
-        elif kind == "sim":
-            for policy, ratio in sorted(record.get("ratios", {}).items()):
-                out[f"{policy} cost / oracle"] = float(ratio)
-            service = record.get("service") or {}
-            if "replay_cache_hit_rate" in service:
-                out["service replay cache-hit rate"] = float(
-                    service["replay_cache_hit_rate"])
-        elif kind == "service":
-            cache = record.get("cache") or {}
-            if "hit_rate" in cache:
-                out["cache hit rate"] = float(cache["hit_rate"])
-            out["dropped / requests"] = (
-                float(record.get("dropped", 0)) / float(record["requests"])
-                if record.get("requests") else 0.0
-            )
-            out["duplicate share"] = float(record.get("duplicate_share", 0.0))
-    except (KeyError, TypeError, ValueError):
-        pass  # a malformed record reports whatever it yielded so far
-    return out
+BENCH_FILES = (
+    "BENCH_solver.json", "BENCH_fleet.json", "BENCH_sim.json", "BENCH_service.json",
+)
 
 
 def load_records(root: str | Path, names: tuple[str, ...] = BENCH_FILES) -> dict[str, dict]:

@@ -18,7 +18,7 @@ Three seeded workloads, all deterministic given the config:
   (columns dominate rows, the regime production models grow into) and a
   deterministic branching-style sequence of bound-modified children,
   built once from the revised simplex's root solution.  Two legs replay
-  the same LPs, best of :data:`BEST_OF` alternating runs: the revised
+  the same LPs, best of :data:`LARGE_BEST_OF` alternating runs: the revised
   simplex (root cold, each child warm from the root basis) and HiGHS
   (every LP cold).  Their objectives must agree on every LP, and the
   HiGHS/revised wall-clock ratio on the same sequence and machine,
@@ -29,8 +29,8 @@ The record is written as ``BENCH_solver.json`` (``REPRO_BENCH_DIR``
 honored, like the service bench).  CI compares the **cold-normalized**
 node-throughput ratio against the committed baseline — a ratio of
 warm-to-cold throughput on the *same* machine cancels hardware speed, so
-the gate transfers between laptops and runners (see
-:func:`check_solver_regression` and ``docs/performance.md``).
+the gate transfers between laptops and runners (see the ``solver`` rows
+of :mod:`repro.bench.gates` and ``docs/performance.md``).
 
 On a host that delivers one CPU the parallel Benders leg cannot beat
 serial (there is nothing to fan out onto), and a host can advertise more
@@ -54,17 +54,16 @@ regression gate use ``cpu_count`` to tell "no cores" from "regression".
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import dataclass, replace as dc_replace
-from pathlib import Path
 
 import numpy as np
 
 from repro.obs.spans import span
 from repro.parallel.pool import default_workers, parallel_map
+from repro.serialize import write_bench_record
 from repro.solver import (
     BranchAndBoundOptions,
     SolverStatus,
@@ -80,26 +79,17 @@ from repro.solver.telemetry import Telemetry
 __all__ = [
     "SolverBenchConfig",
     "run_solver_bench",
-    "check_solver_regression",
     "summary_lines",
-    "write_bench_record",
 ]
 
-#: Gate: fail CI when the current warm/cold throughput ratio drops below
-#: this fraction of the committed baseline's ratio.
-REGRESSION_TOLERANCE = 0.75
-
-#: The speedup gate only means something while the tier stays large; a
-#: record whose tier shrank below these sizes fails against a baseline
-#: whose tier was large.
-LARGE_TIER_MIN_VARS = 200
-LARGE_TIER_MIN_ROWS = 60
-
-#: Runs of each leg whose wall-time ratio is gated (the large-tier
-#: revised and HiGHS legs, serial and parallel Benders), alternating; the best
-#: (shortest) wall time of each counts, so one noisy run cannot decide a
-#: gated ratio.
+#: Runs of each leg whose wall-time ratio is gated (serial and parallel
+#: Benders), alternating; the best (shortest) wall time of each counts, so
+#: one noisy run cannot decide a gated ratio.
 BEST_OF = 3
+#: The same for the large tier's revised and HiGHS legs.  Their ratio is
+#: gated against a 0.75 band, and best of 3 swung 4.9-8.8x on a busy
+#: 2-vCPU host; a pass costs about 0.6 s, so more of them are cheap.
+LARGE_BEST_OF = 9
 #: Iterations of the calibration kernel: tens of milliseconds of
 #: pure-Python work on a current server core, long enough that pool
 #: dispatch is noise next to it.
@@ -448,7 +438,7 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
         children = _large_children(large_prob, large_root.x, cfg.large_resolves, cfg.seed + 7)
         with_highs = scipy_available()
         revised_runs, highs_runs = [], []
-        for _ in range(BEST_OF):
+        for _ in range(LARGE_BEST_OF):
             with span(hub, "bench_leg[large_revised]"):
                 revised_runs.append(_large_revised_run(large_prob, children, telemetry=hub))
             if with_highs:
@@ -555,106 +545,6 @@ def run_solver_bench(cfg: SolverBenchConfig | None = None, listener=None) -> dic
     if cfg.out:
         record["path"] = str(write_bench_record(record, cfg.out))
     return record
-
-
-def write_bench_record(record: dict, out: str = "BENCH_solver.json") -> Path:
-    from repro.serialize import jsonable
-
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / out
-    # jsonable maps non-finite floats to strings so the record always parses.
-    path.write_text(
-        json.dumps(jsonable(record), indent=2, allow_nan=False, sort_keys=True) + "\n"
-    )
-    return path
-
-
-def check_solver_regression(
-    record: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE
-) -> list[str]:
-    """Compare a fresh record against the committed baseline.
-
-    Returns human-readable failure strings (empty = pass).  Only
-    machine-independent ratios are gated; absolute wall times are recorded
-    for humans but never compared across hosts.  The Benders speedup must
-    exceed 1.0 only when the record's ``cpu_count`` — the CPUs the host
-    *delivered* to the parallel leg, measured by :func:`run_solver_bench`
-    — is at least 2; a host that advertises 2 CPUs but delivers one is
-    not held to it.  The large tier's ``speedup_vs_highs`` is gated like
-    the bb ratio (a tolerance band plus a 1.0 floor that applies only when
-    the baseline cleared it), and only when both records carry it.
-    """
-    failures: list[str] = []
-    cur = float(record["bb"]["node_throughput_ratio"])
-    base = float(baseline["bb"]["node_throughput_ratio"])
-    if cur < tolerance * base:
-        failures.append(
-            f"bb node-throughput ratio regressed: {cur:.2f}x vs baseline "
-            f"{base:.2f}x (floor {tolerance * base:.2f}x)"
-        )
-    # Absolute floor, but only when the baseline itself cleared it: tiny
-    # smoke configurations are timing-noisy enough that warm can measure
-    # below cold, and a record must always pass against itself.
-    if cur < 1.0 <= base:
-        failures.append(f"warm starts slower than cold ({cur:.2f}x)")
-    warm_rate = float(record["bb"]["warm"]["warm_hit_rate"])
-    base_rate = float(baseline["bb"]["warm"]["warm_hit_rate"])
-    if warm_rate < tolerance * base_rate:
-        failures.append(
-            f"warm-hit rate regressed: {warm_rate:.0%} vs baseline {base_rate:.0%}"
-        )
-    if int(record.get("cpu_count", 1)) >= 2 and float(record["benders"]["speedup"]) <= 1.0:
-        failures.append(
-            f"parallel Benders no faster than serial on a host delivering "
-            f"{record['cpu_count']} CPUs (speedup "
-            f"{record['benders']['speedup']:.2f}x)"
-        )
-    large = record.get("large")
-    base_large = baseline.get("large")
-
-    def _is_big(leg: dict) -> bool:
-        return (
-            int(leg.get("vars", 0)) >= LARGE_TIER_MIN_VARS
-            and int(leg.get("rows", 0)) >= LARGE_TIER_MIN_ROWS
-        )
-
-    if large is None:
-        if base_large is not None:
-            failures.append("record is missing the large tier")
-    else:
-        if _is_big(large):
-            if base_large is not None and "speedup_vs_highs" in large \
-                    and "speedup_vs_highs" in base_large:
-                cur_vs = float(large["speedup_vs_highs"])
-                base_vs = float(base_large["speedup_vs_highs"])
-                detail = (
-                    f"(HiGHS {large['highs']['wall_s'] * 1e3:.0f} ms vs revised "
-                    f"{large['revised']['wall_s'] * 1e3:.0f} ms on "
-                    f"{large['vars']} vars / {large['rows']} rows)"
-                )
-                if cur_vs < tolerance * base_vs:
-                    failures.append(
-                        f"large-tier speedup over HiGHS regressed: {cur_vs:.2f}x vs "
-                        f"baseline {base_vs:.2f}x (floor {tolerance * base_vs:.2f}x) {detail}"
-                    )
-                if cur_vs < 1.0 <= base_vs:
-                    failures.append(
-                        f"large-tier revised simplex slower than HiGHS ({cur_vs:.2f}x) {detail}"
-                    )
-            warm_hits = int(large["revised"]["warm_used"])
-            if warm_hits < int(large["resolves"]):
-                failures.append(
-                    f"large-tier revised warm hits {warm_hits}/"
-                    f"{large['resolves']}: warm bases are being rejected"
-                )
-        elif base_large is not None and _is_big(base_large):
-            failures.append(
-                f"large tier shrank to {large.get('vars', 0)} vars / "
-                f"{large.get('rows', 0)} rows (floor {LARGE_TIER_MIN_VARS} / "
-                f"{LARGE_TIER_MIN_ROWS}); the HiGHS-ratio gate is meaningless"
-            )
-    return failures
 
 
 def summary_lines(record: dict) -> list[str]:

@@ -34,15 +34,16 @@ Commands mirror the library's main workflows:
     the plan.  Stdlib-only client path — works without numpy installed.
 ``bench-service``
     Deterministic load-generator benchmark against an in-process server;
-    writes ``BENCH_service.json`` and exits nonzero if any request was
-    dropped or the cache hit rate fell below the duplicate share.
+    writes ``BENCH_service.json`` and exits nonzero when a ``service``
+    row of :mod:`repro.bench.gates` fails: a dropped request, a cache
+    hit rate below the duplicate share, or no 429 under saturation.
 ``bench-solver``
     Solver hot-path benchmark (:mod:`repro.bench.solver`): warm vs cold
     branch-and-bound node throughput, DRRP solve times, serial vs
     parallel Benders; writes ``BENCH_solver.json``.  With
-    ``--check-against BASELINE`` it exits nonzero when the
-    cold-normalized throughput ratio regresses more than 25% against the
-    committed baseline (the CI gate).
+    ``--check-against BASELINE`` it exits nonzero when a ``solver`` row
+    of :mod:`repro.bench.gates` fails against the committed baseline
+    (the CI gate).
 ``plan-fleet``
     Plan a seeded multi-tenant fleet against shared capacity pools
     (:mod:`repro.fleet`): heuristic tier, gap-triggered MILP escalation,
@@ -51,8 +52,8 @@ Commands mirror the library's main workflows:
     Fleet planning benchmark (:mod:`repro.bench.fleet`): tenants/minute,
     heuristic-vs-MILP cost ratio on the escalation-eligible cohort,
     compile shape-cache hit rate; writes ``BENCH_fleet.json``.  With
-    ``--check-against BASELINE`` it exits nonzero on infeasibility or
-    quality/cache-reuse drift (the CI gate).
+    ``--check-against BASELINE`` it exits nonzero when a ``fleet`` row
+    of :mod:`repro.bench.gates` fails (the CI gate).
 ``trace``
     Merge per-process JSONL event files (``simulate --trace-dir``, the
     service's per-job captures, ``run --out-dir``) into one Chrome trace
@@ -66,8 +67,9 @@ Commands mirror the library's main workflows:
     additionally fails (exit 1) when less than 95% of the bench wall
     time is attributed.
 ``bench-report``
-    Print the headline-metric table of every committed ``BENCH_*.json``
-    next to fresh records from ``REPRO_BENCH_DIR``/``bench-out/``.
+    Print the gated numbers (the rows of :mod:`repro.bench.gates`) of
+    every committed ``BENCH_*.json`` next to fresh records from
+    ``REPRO_BENCH_DIR``/``bench-out/``.
 
 Exit codes, uniformly: ``0`` success (``plan``/``submit``: the plan is
 OPTIMAL; ``fuzz``: campaign completed clean), ``1`` failure (no plan,
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="benchmark record filename (REPRO_BENCH_DIR honored)")
     p_bsol.add_argument("--check-against", default=None, metavar="BASELINE",
                         help="compare against a committed BENCH_solver.json; "
-                             "exit 1 on >25%% throughput-ratio regression")
+                             "exit 1 on any failed gate (repro.bench.gates)")
 
     p_pf = sub.add_parser(
         "plan-fleet",
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="benchmark record filename (REPRO_BENCH_DIR honored)")
     p_bfl.add_argument("--check-against", default=None, metavar="BASELINE",
                        help="compare against a committed BENCH_fleet.json; exit 1 "
-                            "on infeasibility, cost-ratio, or cache-reuse drift")
+                            "on any failed gate (repro.bench.gates)")
 
     p_bsim = sub.add_parser(
         "bench-sim",
@@ -422,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsim.add_argument("--out", default="BENCH_sim.json", metavar="FILE",
                         help="benchmark record filename (REPRO_BENCH_DIR honored)")
     p_bsim.add_argument("--check-against", default=None, metavar="BASELINE",
-                        help="compare cost/oracle ratios and service invariants "
-                             "against a committed BENCH_sim.json; exit 1 on drift")
+                        help="compare against a committed BENCH_sim.json; exit 1 "
+                             "on any failed gate (repro.bench.gates)")
 
     p_trace = sub.add_parser(
         "trace",
@@ -1129,34 +1131,45 @@ def _cmd_bench_service(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     record = run_loadgen(cfg)
-    print(summary_line(record))
-    if "path" in record:
-        print(f"record: {record['path']}")
-    failures = []
-    if record["dropped"]:
-        failures.append(f"{record['dropped']} requests dropped")
-    if record["cache"]["hit_rate"] < record["duplicate_share"]:
-        failures.append(
-            f"cache hit rate {record['cache']['hit_rate']:.0%} below "
-            f"duplicate share {record['duplicate_share']:.0%}"
-        )
-    if not record["saturation"]["rejected"]:
-        failures.append("saturation probe saw no 429 rejections")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    # The service gates need no baseline: they always run.
+    return _gate_bench(record, [summary_line(record)], None, alone=True)
 
 
-def _cmd_bench_solver(args) -> int:
+def _gate_bench(record: dict, summary: list[str], check_against: str | None,
+                alone: bool = False) -> int:
+    """Print a bench record's summary and path, then hold it to its rows
+    of :mod:`repro.bench.gates`: against the ``check_against`` baseline
+    when one is given, on its own only when ``alone``."""
     import json
     from pathlib import Path
 
-    from repro.bench import (
-        SolverBenchConfig,
-        check_solver_regression,
-        run_solver_bench,
-        summary_lines,
-    )
+    from repro.bench.gates import check_record
+
+    for line in summary:
+        print(line)
+    if "path" in record:
+        print(f"record: {record['path']}")
+    baseline = None
+    if check_against:
+        baseline_path = Path(check_against)
+        if not baseline_path.is_file():
+            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
+            return 2
+        baseline = json.loads(baseline_path.read_text())
+    elif not alone:
+        return 0
+    failures = check_record(record, baseline)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    if check_against:
+        print(f"regression gate passed against {check_against}")
+    return 0
+
+
+def _cmd_bench_solver(args) -> int:
+    from repro.bench import SolverBenchConfig, run_solver_bench, summary_lines
 
     overrides = {
         name: value
@@ -1188,23 +1201,7 @@ def _cmd_bench_solver(args) -> int:
     except RuntimeError as exc:  # a leg failed or warm/cold disagreed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in summary_lines(record):
-        print(line)
-    if "path" in record:
-        print(f"record: {record['path']}")
-    if args.check_against:
-        baseline_path = Path(args.check_against)
-        if not baseline_path.is_file():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        failures = check_solver_regression(record, baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"regression gate passed against {baseline_path}")
-    return 0
+    return _gate_bench(record, summary_lines(record), args.check_against)
 
 
 def _cmd_plan_fleet(args) -> int:
@@ -1250,15 +1247,7 @@ def _cmd_plan_fleet(args) -> int:
 
 
 def _cmd_bench_fleet(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        FleetBenchConfig,
-        check_fleet_regression,
-        fleet_summary_lines,
-        run_fleet_bench,
-    )
+    from repro.bench import FleetBenchConfig, fleet_summary_lines, run_fleet_bench
 
     overrides = {
         name: value
@@ -1282,31 +1271,11 @@ def _cmd_bench_fleet(args) -> int:
     except RuntimeError as exc:  # a leg failed or the plan was infeasible
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in fleet_summary_lines(record):
-        print(line)
-    if "path" in record:
-        print(f"record: {record['path']}")
-    if args.check_against:
-        baseline_path = Path(args.check_against)
-        if not baseline_path.is_file():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        failures = check_fleet_regression(record, baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"regression gate passed against {baseline_path}")
-    return 0
+    return _gate_bench(record, fleet_summary_lines(record), args.check_against)
 
 
 def _cmd_bench_sim(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.sim import SimBenchConfig, check_sim_regression, run_sim_bench
-    from repro.sim.bench import summary_lines
+    from repro.sim.bench import SimBenchConfig, run_sim_bench, summary_lines
 
     try:
         cfg = SimBenchConfig(
@@ -1324,23 +1293,7 @@ def _cmd_bench_sim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     record = run_sim_bench(cfg)
-    for line in summary_lines(record):
-        print(line)
-    if "path" in record:
-        print(f"record: {record['path']}")
-    if args.check_against:
-        baseline_path = Path(args.check_against)
-        if not baseline_path.is_file():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        failures = check_sim_regression(record, baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"regression gate passed against {baseline_path}")
-    return 0
+    return _gate_bench(record, summary_lines(record), args.check_against)
 
 
 def _cmd_trace(args) -> int:

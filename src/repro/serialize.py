@@ -20,6 +20,9 @@ instances a stable content identity — the same instance submitted twice
 identically, which is exactly the property the planning service's cache
 and in-flight coalescing rely on.
 
+:func:`write_bench_record` writes the ``BENCH_*.json`` record of every
+bench family (solver, fleet, sim, and the service load generator).
+
 This module is stdlib-only (``jsonable`` handles numpy values without
 importing numpy), so the service client can import it anywhere.
 """
@@ -29,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 __all__ = [
     "canonical_json",
@@ -38,6 +43,7 @@ __all__ = [
     "result_digest",
     "instance_payload",
     "instance_digest",
+    "write_bench_record",
 ]
 
 
@@ -118,6 +124,21 @@ def canonical_json(obj) -> str:
 def result_digest(obj) -> str:
     """``sha256:<hex>`` over the canonical JSON form of ``obj``."""
     return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def write_bench_record(record: dict, out: str) -> Path:
+    """Write one ``BENCH_*.json`` record under ``REPRO_BENCH_DIR`` (default ``.``).
+
+    :func:`jsonable` maps non-finite floats to strings, so the record
+    always parses as strict JSON; keys are sorted so reruns diff cleanly.
+    """
+    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / out
+    path.write_text(
+        json.dumps(jsonable(record), indent=2, allow_nan=False, sort_keys=True) + "\n"
+    )
+    return path
 
 
 def _tree_payload(tree) -> dict:

@@ -24,18 +24,17 @@ Stdlib-only imports; the serving process itself needs the solver stack.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
+
+from repro.serialize import write_bench_record
 
 from .client import Saturated, ServiceClient
 from .server import ServiceConfig, serve
 
-__all__ = ["LoadgenConfig", "run_loadgen", "write_bench_record"]
+__all__ = ["LoadgenConfig", "run_loadgen"]
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,6 @@ def run_loadgen(cfg: LoadgenConfig | None = None) -> dict:
     if cfg.out:
         record["path"] = str(write_bench_record(record, cfg.out))
     return record
-
-
-def write_bench_record(record: dict, out: str = "BENCH_service.json") -> Path:
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / out
-    path.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
-    return path
 
 
 def summary_line(record: dict) -> str:

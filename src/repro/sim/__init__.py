@@ -12,11 +12,11 @@ replans optionally routed through a live :mod:`repro.service` server.
   service-routed);
 * :mod:`repro.sim.engine` — :func:`run_campaign`: trace synthesis,
   policy roster, spans/metrics, and the campaign :class:`RunManifest`;
-* :mod:`repro.sim.bench` — the ``repro bench-sim`` benchmark and its CI
-  regression gate over machine-independent cost ratios.
+* :mod:`repro.sim.bench` — the ``repro bench-sim`` benchmark (its CI
+  gate is the ``sim`` rows of :mod:`repro.bench.gates`).
 """
 
-from .bench import SimBenchConfig, check_sim_regression, run_sim_bench
+from .bench import SimBenchConfig, run_sim_bench
 from .engine import (
     KNOWN_POLICIES,
     CampaignConfig,
@@ -51,7 +51,6 @@ __all__ = [
     "aggregate_window",
     "build_blocks",
     "build_inputs",
-    "check_sim_regression",
     "make_policy",
     "run_campaign",
     "run_sim_bench",

@@ -28,12 +28,11 @@ Four seeded legs, all deterministic given the config:
   once out-of-bid interruptions carry a work-loss cost.
 
 The record lands in ``BENCH_sim.json`` (``REPRO_BENCH_DIR`` honored);
-:func:`check_sim_regression` is the CI gate.
+the ``sim`` rows of :mod:`repro.bench.gates` are the CI gate.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -46,14 +45,8 @@ from .horizon import HorizonConfig
 __all__ = [
     "SimBenchConfig",
     "run_sim_bench",
-    "check_sim_regression",
     "summary_lines",
 ]
-
-#: Gate: a policy's cost/oracle ratio may drift at most this (relative)
-#: from the committed baseline before CI fails.  Ratios are deterministic
-#: modulo solver tie-breaking and numpy version skew, so the band is tight.
-RATIO_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -242,12 +235,18 @@ def _bid_sweep_leg(cfg: SimBenchConfig) -> dict:
             "out_of_bid": int(out.result.out_of_bid_events),
             "replans": int(out.replans),
         }
-    return {
+    sweep = {
         "slots": cfg.bid_slots,
         "interruption_loss": cfg.bid_interruption_loss,
         "oracle_cost": float(campaign.oracle_cost),
         "policies": policies,
     }
+    # The gate needs some strategy to beat the naive fixed mean bid; one
+    # number lets a table row say so.
+    rivals = [entry["ratio"] for name, entry in policies.items() if name != "bid-fixed"]
+    if rivals:
+        sweep["best_nonfixed_ratio"] = min(rivals)
+    return sweep
 
 
 def run_sim_bench(cfg: SimBenchConfig | None = None) -> dict:
@@ -289,123 +288,10 @@ def run_sim_bench(cfg: SimBenchConfig | None = None) -> dict:
         **legs,
     }
     if cfg.out:
-        from repro.bench.solver import write_bench_record
+        from repro.serialize import write_bench_record
 
         record["path"] = str(write_bench_record(record, cfg.out))
     return record
-
-
-def check_sim_regression(
-    record: dict, baseline: dict, tolerance: float = RATIO_TOLERANCE
-) -> list[str]:
-    """Compare a fresh record against the committed baseline.
-
-    Returns human-readable failure strings (empty = pass).  Gated:
-
-    * the paper's ordering — no-plan strictly worse than rolling DRRP —
-      must hold in the fresh record;
-    * no policy beats the oracle (ratio >= 1 up to float noise);
-    * when the fresh record ran the same campaign config as the baseline,
-      each policy's cost/oracle ratio must sit within ``tolerance``
-      (relative) of the baseline's;
-    * the service route must agree with the in-process planner bit for
-      bit, the cache replay must actually hit, and the backpressure legs
-      must have exercised degraded plans / local fallbacks with zero
-      forced top-ups (demand always met);
-    * in the bid sweep, no bidding policy beats its oracle, at least one
-      non-trivial strategy strictly beats the naive fixed mean bid, and
-      (when configs match) each ratio stays within ``tolerance`` of the
-      baseline's.
-    """
-    failures: list[str] = []
-    ratios = record.get("ratios", {})
-    if "no-plan" in ratios and "rolling-drrp" in ratios:
-        if not ratios["no-plan"] > ratios["rolling-drrp"]:
-            failures.append(
-                f"no-plan ({ratios['no-plan']:.4f}x) not strictly worse than "
-                f"rolling-drrp ({ratios['rolling-drrp']:.4f}x)"
-            )
-    for name, ratio in ratios.items():
-        if ratio < 1.0 - 1e-9:
-            failures.append(
-                f"{name} beats the clairvoyant oracle ({ratio:.6f}x < 1) — "
-                "accounting bug"
-            )
-    if record.get("config") == baseline.get("config"):
-        for name, base_ratio in baseline.get("ratios", {}).items():
-            cur = ratios.get(name)
-            if cur is None:
-                failures.append(f"policy {name} missing from the fresh record")
-            elif not math.isclose(cur, base_ratio, rel_tol=tolerance):
-                failures.append(
-                    f"{name} cost/oracle ratio drifted: {cur:.4f}x vs "
-                    f"baseline {base_ratio:.4f}x (tolerance {tolerance:.0%})"
-                )
-    svc = record.get("service", {})
-    if not svc.get("consistent_with_in_process"):
-        failures.append(
-            "service-routed campaign diverged from the in-process planner "
-            f"(${svc.get('routed_cost')} vs ${svc.get('in_process_cost')})"
-        )
-    if svc.get("replay_cache_hit_rate", 0.0) < 0.9:
-        failures.append(
-            f"cache replay hit rate {svc.get('replay_cache_hit_rate', 0.0):.0%} "
-            "below 90% — plan cache not serving repeated campaigns"
-        )
-    bp = record.get("backpressure", {})
-    degrade = bp.get("degrade", {})
-    reject = bp.get("reject", {})
-    if degrade and degrade.get("degraded_plans", 0) < 1:
-        failures.append("degrade leg saw no degraded plans under saturation")
-    if reject and reject.get("local_fallbacks", 0) < 1:
-        failures.append("reject leg never fell back locally under saturation")
-    for leg_name, leg in (("degrade", degrade), ("reject", reject)):
-        if leg and leg.get("forced_topups", 0) > 0:
-            failures.append(
-                f"backpressure {leg_name} leg needed "
-                f"{leg['forced_topups']} forced top-ups — demand not met by "
-                "the policy itself"
-            )
-    sweep = record.get("bid_sweep", {})
-    bid_policies = sweep.get("policies", {})
-    if bid_policies:
-        for name, entry in bid_policies.items():
-            if entry["ratio"] < 1.0 - 1e-9:
-                failures.append(
-                    f"bid sweep: {name} beats the clairvoyant oracle "
-                    f"({entry['ratio']:.6f}x < 1) — accounting bug"
-                )
-        fixed = bid_policies.get("bid-fixed")
-        others = {n: e for n, e in bid_policies.items() if n != "bid-fixed"}
-        if fixed and others and not any(
-            e["ratio"] < fixed["ratio"] for e in others.values()
-        ):
-            failures.append(
-                "bid sweep: no bidding strategy beats the naive fixed mean "
-                f"bid ({fixed['ratio']:.4f}x) — the interruption layer is "
-                "not rewarding smarter bids"
-            )
-        base_sweep = baseline.get("bid_sweep", {})
-        same_sweep = (
-            base_sweep.get("slots") == sweep.get("slots")
-            and base_sweep.get("interruption_loss") == sweep.get("interruption_loss")
-        )
-        if same_sweep:
-            for name, base_entry in base_sweep.get("policies", {}).items():
-                entry = bid_policies.get(name)
-                if entry is None:
-                    failures.append(
-                        f"bid sweep: policy {name} missing from the fresh record"
-                    )
-                elif not math.isclose(
-                    entry["ratio"], base_entry["ratio"], rel_tol=tolerance
-                ):
-                    failures.append(
-                        f"bid sweep: {name} cost/oracle ratio drifted: "
-                        f"{entry['ratio']:.4f}x vs baseline "
-                        f"{base_entry['ratio']:.4f}x (tolerance {tolerance:.0%})"
-                    )
-    return failures
 
 
 def summary_lines(record: dict) -> list[str]:

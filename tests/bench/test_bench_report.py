@@ -1,6 +1,7 @@
 """Bench-report rendering on fixture records (no live benchmarks)."""
 
 import json
+from pathlib import Path
 
 from repro.bench.report import (
     BENCH_FILES,
@@ -56,8 +57,8 @@ class TestHeadlineMetrics:
     def test_service_metrics(self):
         m = headline_metrics(SERVICE)
         assert m["cache hit rate"] == 0.8
-        assert m["dropped / requests"] == 0.05
-        assert m["duplicate share"] == 0.25
+        assert m["dropped requests"] == 2
+        assert "saturation 429s" not in m  # the fixture has no probe
 
     def test_malformed_record_never_raises(self):
         assert headline_metrics({"benchmark": "solver"}) == {}
@@ -117,4 +118,14 @@ class TestReportLines:
 
     def test_display_order_matches_bench_files(self):
         assert BENCH_FILES == (
-            "BENCH_solver.json", "BENCH_sim.json", "BENCH_service.json")
+            "BENCH_solver.json", "BENCH_fleet.json", "BENCH_sim.json",
+            "BENCH_service.json")
+
+    def test_committed_records_show_every_family(self):
+        # The repo's own baselines: every committed family is reported,
+        # with the gated numbers the old hand-kept headline list missed.
+        text = "\n".join(report_lines(Path(__file__).resolve().parents[2]))
+        for name in ("BENCH_solver.json", "BENCH_fleet.json", "BENCH_sim.json"):
+            assert f"({name})" in text
+        assert "large speedup vs HiGHS (x)" in text
+        assert "cohort heuristic/MILP cost ratio" in text

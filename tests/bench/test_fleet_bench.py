@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench import (
     FleetBenchConfig,
-    check_fleet_regression,
+    check_record,
     fleet_summary_lines,
     run_fleet_bench,
 )
@@ -76,20 +76,20 @@ class TestRunFleetBench:
 class TestCheckFleetRegression:
     def test_self_comparison_passes(self, record):
         rec, _ = record
-        assert check_fleet_regression(rec, rec) == []
+        assert check_record(rec, rec) == []
 
     def test_infeasible_record_fails(self, record):
         rec, _ = record
         bad = copy.deepcopy(rec)
         bad["feasibility"]["feasible"] = False
-        assert any("infeasible" in f for f in check_fleet_regression(bad, rec))
+        assert any("plan feasible 0 below 1" in f for f in check_record(bad, rec))
 
     def test_cost_ratio_ceiling_fails(self, record):
         rec, _ = record
         bad = copy.deepcopy(rec)
         bad["cohort"]["cost_ratio_mean"] = 1.2
-        failures = check_fleet_regression(bad, rec)
-        assert any("ceiling" in f for f in failures)
+        failures = check_record(bad, rec)
+        assert any("cost ratio 1.2 above 1.05" in f for f in failures)
 
     def test_cost_ratio_band_fails(self, record):
         rec, _ = record
@@ -97,7 +97,7 @@ class TestCheckFleetRegression:
         base["cohort"]["cost_ratio_mean"] = 1.02
         bad = copy.deepcopy(rec)
         bad["cohort"]["cost_ratio_mean"] = 1.045  # under the absolute ceiling
-        assert any("regressed" in f for f in check_fleet_regression(bad, base))
+        assert any("regressed" in f for f in check_record(bad, base))
 
     def test_shape_hit_rate_regression_fails(self, record):
         rec, _ = record
@@ -105,7 +105,7 @@ class TestCheckFleetRegression:
         base["plan"]["shape_hit_rate"] = 0.9
         bad = copy.deepcopy(rec)
         bad["plan"]["shape_hit_rate"] = 0.2
-        assert any("shape-cache" in f for f in check_fleet_regression(bad, base))
+        assert any("shape-cache" in f for f in check_record(bad, base))
 
     def test_escalation_collapse_fails(self, record):
         rec, _ = record
@@ -113,4 +113,4 @@ class TestCheckFleetRegression:
         base["plan"]["escalation_fraction"] = 0.15
         bad = copy.deepcopy(rec)
         bad["plan"]["escalation_fraction"] = 0.0
-        assert any("escalation" in f for f in check_fleet_regression(bad, base))
+        assert any("escalation" in f for f in check_record(bad, base))

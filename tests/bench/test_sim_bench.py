@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.sim import SimBenchConfig, check_sim_regression, run_sim_bench
+from repro.bench import check_record
+from repro.sim import SimBenchConfig, run_sim_bench
 from repro.sim.bench import summary_lines
 
 
@@ -85,13 +86,13 @@ class TestRunSimBench:
 class TestRegressionGate:
     def test_self_check_passes(self, record):
         rec, _ = record
-        assert check_sim_regression(rec, rec) == []
+        assert check_record(rec, rec) == []
 
     def test_ratio_drift_fails(self, record):
         rec, _ = record
         tampered = copy.deepcopy(rec)
         tampered["ratios"]["rolling-drrp"] *= 2.0
-        failures = check_sim_regression(rec, tampered)
+        failures = check_record(rec, tampered)
         assert any("drifted" in f for f in failures)
 
     def test_different_config_skips_ratio_comparison(self, record):
@@ -99,34 +100,34 @@ class TestRegressionGate:
         other = copy.deepcopy(rec)
         other["config"]["slots"] = 9999
         other["ratios"]["rolling-drrp"] *= 2.0
-        assert check_sim_regression(rec, other) == []
+        assert check_record(rec, other) == []
 
     def test_broken_ordering_fails(self, record):
         rec, _ = record
         broken = copy.deepcopy(rec)
         broken["ratios"]["no-plan"] = broken["ratios"]["rolling-drrp"] - 0.01
-        failures = check_sim_regression(broken, rec)
-        assert any("not strictly worse" in f for f in failures)
+        failures = check_record(broken, rec)
+        assert any("no-plan cost / oracle" in f and "not above" in f for f in failures)
 
     def test_beating_the_oracle_fails(self, record):
         rec, _ = record
         broken = copy.deepcopy(rec)
         broken["ratios"]["rolling-drrp"] = 0.9
-        failures = check_sim_regression(broken, rec)
-        assert any("accounting bug" in f for f in failures)
+        failures = check_record(broken, rec)
+        assert any("rolling-drrp cost / oracle 0.9 below 1" in f for f in failures)
 
     def test_service_divergence_fails(self, record):
         rec, _ = record
         broken = copy.deepcopy(rec)
         broken["service"]["consistent_with_in_process"] = False
-        failures = check_sim_regression(broken, rec)
-        assert any("diverged" in f for f in failures)
+        failures = check_record(broken, rec)
+        assert any("service route matches in-process 0 below 1" in f for f in failures)
 
     def test_missing_policy_fails(self, record):
         rec, _ = record
         pruned = copy.deepcopy(rec)
         del pruned["ratios"]["rolling-drrp"]
-        failures = check_sim_regression(pruned, rec)
+        failures = check_record(pruned, rec)
         assert any("missing" in f for f in failures)
 
     def test_bid_sweep_fixed_bid_must_be_beaten(self, record):
@@ -136,21 +137,21 @@ class TestRegressionGate:
             e["ratio"] for e in broken["bid_sweep"]["policies"].values()
         )
         broken["bid_sweep"]["policies"]["bid-fixed"]["ratio"] = best - 0.01
-        failures = check_sim_regression(broken, rec)
-        assert any("fixed mean" in f for f in failures)
+        failures = check_record(broken, rec)
+        assert any("bid-fixed cost / oracle" in f and "not above" in f for f in failures)
 
     def test_bid_sweep_beating_the_oracle_fails(self, record):
         rec, _ = record
         broken = copy.deepcopy(rec)
         broken["bid_sweep"]["policies"]["bid-rebid"]["ratio"] = 0.9
-        failures = check_sim_regression(broken, rec)
-        assert any("bid sweep" in f and "accounting bug" in f for f in failures)
+        failures = check_record(broken, rec)
+        assert any("bid sweep bid-rebid cost / oracle 0.9 below 1" in f for f in failures)
 
     def test_bid_sweep_ratio_drift_fails(self, record):
         rec, _ = record
         tampered = copy.deepcopy(rec)
         tampered["bid_sweep"]["policies"]["bid-percentile"]["ratio"] *= 2.0
-        failures = check_sim_regression(rec, tampered)
+        failures = check_record(rec, tampered)
         assert any("bid sweep" in f and "drifted" in f for f in failures)
 
     def test_bid_sweep_different_config_skips_drift(self, record):
@@ -158,4 +159,4 @@ class TestRegressionGate:
         other = copy.deepcopy(rec)
         other["bid_sweep"]["slots"] = 9999
         other["bid_sweep"]["policies"]["bid-percentile"]["ratio"] *= 2.0
-        assert check_sim_regression(rec, other) == []
+        assert check_record(rec, other) == []

@@ -10,12 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    SolverBenchConfig,
-    check_solver_regression,
-    run_solver_bench,
-    summary_lines,
-)
+from repro.bench import SolverBenchConfig, check_record, run_solver_bench, summary_lines
 from repro.solver import scipy_available
 
 
@@ -131,14 +126,14 @@ class TestRunSolverBench:
 class TestRegressionGate:
     def test_self_comparison_passes(self, record):
         rec, _ = record
-        assert check_solver_regression(rec, rec) == []
+        assert check_record(rec, rec) == []
 
     def test_throughput_regression_fails(self, record):
         rec, _ = record
         bad = copy.deepcopy(rec)
         bad["bb"]["node_throughput_ratio"] = 0.5 * rec["bb"]["node_throughput_ratio"]
-        failures = check_solver_regression(bad, rec)
-        assert any("node-throughput ratio regressed" in f for f in failures)
+        failures = check_record(bad, rec)
+        assert any("node-throughput ratio (x) regressed" in f for f in failures)
 
     def test_warm_slower_than_cold_fails(self, record):
         rec, _ = record
@@ -146,8 +141,8 @@ class TestRegressionGate:
         bad["bb"]["node_throughput_ratio"] = 0.9
         base = copy.deepcopy(rec)
         base["bb"]["node_throughput_ratio"] = 1.0  # permissive baseline
-        failures = check_solver_regression(bad, base)
-        assert any("slower than cold" in f for f in failures)
+        failures = check_record(bad, base)
+        assert any("node-throughput ratio (x) 0.9 below 1" in f for f in failures)
 
     def test_benders_speedup_gated_only_with_cores(self, record):
         rec, _ = record
@@ -155,10 +150,10 @@ class TestRegressionGate:
         slow["benders"]["speedup"] = 0.5
         slow["cpu_count"] = 1
         assert not any(
-            "Benders" in f for f in check_solver_regression(slow, rec)
+            "benders speedup" in f for f in check_record(slow, rec)
         )
         slow["cpu_count"] = 8
-        assert any("Benders" in f for f in check_solver_regression(slow, rec))
+        assert any("benders speedup" in f for f in check_record(slow, rec))
 
     @staticmethod
     def _as_big(rec, speedup_vs_highs=6.5):
@@ -179,24 +174,24 @@ class TestRegressionGate:
         rec, _ = record
         base = self._as_big(rec, speedup_vs_highs=1.2)
         bad = self._as_big(rec, speedup_vs_highs=0.95)
-        failures = check_solver_regression(bad, base)
-        assert any("slower than HiGHS (0.95x)" in f for f in failures)
+        failures = check_record(bad, base)
+        assert any("speedup vs HiGHS (x) 0.95 below 1" in f for f in failures)
         assert not any("regressed" in f and "HiGHS" in f for f in failures)
 
     def test_large_speedup_regression_vs_baseline_fails(self, record):
         rec, _ = record
         base = self._as_big(rec, speedup_vs_highs=6.5)
         bad = self._as_big(rec, speedup_vs_highs=3.0)
-        failures = check_solver_regression(bad, base)
-        assert any("speedup over HiGHS regressed: 3.00x" in f for f in failures)
-        assert check_solver_regression(base, base) == []
+        failures = check_record(bad, base)
+        assert any("speedup vs HiGHS (x) regressed to 3," in f for f in failures)
+        assert check_record(base, base) == []
 
     def test_large_floor_only_when_baseline_cleared_it(self, record):
         # A baseline below 1.0 (a slow or noisy host) is not held to the
         # floor: a record must always pass against itself.
         rec, _ = record
         slow = self._as_big(rec, speedup_vs_highs=0.8)
-        assert check_solver_regression(slow, slow) == []
+        assert check_record(slow, slow) == []
 
     def test_large_speedup_skipped_without_highs_leg(self, record):
         # A host without SciPy records no HiGHS leg; the ratio checks skip
@@ -205,12 +200,12 @@ class TestRegressionGate:
         base = self._as_big(rec, speedup_vs_highs=6.5)
         no_highs = self._as_big(rec)
         del no_highs["large"]["highs"], no_highs["large"]["speedup_vs_highs"]
-        assert check_solver_regression(no_highs, base) == []
-        assert check_solver_regression(base, no_highs) == []
+        assert check_record(no_highs, base) == []
+        assert check_record(base, no_highs) == []
         no_highs["large"]["revised"]["warm_used"] = 0
         assert any(
-            "warm bases are being rejected" in f
-            for f in check_solver_regression(no_highs, base)
+            "large warm re-solves 0 below" in f
+            for f in check_record(no_highs, base)
         )
 
     def test_large_warm_rejection_fails(self, record):
@@ -218,21 +213,21 @@ class TestRegressionGate:
         base = self._as_big(rec)
         bad = copy.deepcopy(base)
         bad["large"]["revised"]["warm_used"] = 0
-        failures = check_solver_regression(bad, base)
-        assert any("warm bases are being rejected" in f for f in failures)
+        failures = check_record(bad, base)
+        assert any("large warm re-solves 0 below" in f for f in failures)
 
     def test_missing_large_tier_fails(self, record):
         rec, _ = record
         bad = copy.deepcopy(rec)
         del bad["large"]
-        failures = check_solver_regression(bad, rec)
-        assert any("missing the large" in f for f in failures)
+        failures = check_record(bad, rec)
+        assert any("large." in f and "missing" in f for f in failures)
 
     def test_shrunken_large_tier_fails(self, record):
         rec, _ = record
         base = self._as_big(rec)
-        failures = check_solver_regression(rec, base)
-        assert any("shrank" in f for f in failures)
+        failures = check_record(rec, base)
+        assert any("large vars 24 below 200" in f for f in failures)
 
     def test_host_delivering_one_of_two_cpus_passes_against_itself(self, record):
         rec, _ = record
@@ -240,7 +235,7 @@ class TestRegressionGate:
         oversubscribed["cpu_count_advertised"] = 2
         oversubscribed["cpu_count"] = 1
         oversubscribed["benders"]["speedup"] = 0.2
-        assert check_solver_regression(oversubscribed, oversubscribed) == []
+        assert check_record(oversubscribed, oversubscribed) == []
 
     def test_benders_floor_fires_when_two_cpus_are_delivered(self, record):
         rec, _ = record
@@ -248,4 +243,4 @@ class TestRegressionGate:
         slow["cpu_count_advertised"] = 2
         slow["cpu_count"] = 2
         slow["benders"]["speedup"] = 1.0
-        assert any("Benders" in f for f in check_solver_regression(slow, slow))
+        assert any("benders speedup" in f for f in check_record(slow, slow))

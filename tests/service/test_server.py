@@ -49,6 +49,7 @@ def live():
     service, httpd = serve(port=0, config=ServiceConfig(workers=2), block=False)
     client = ServiceClient(httpd.url, timeout=30.0)
     yield service, httpd, client
+    client.close()
     httpd.shutdown()
     httpd.server_close()
     service.close()
@@ -233,10 +234,10 @@ class TestHTTPEndpoints:
     def test_pending_plan_409(self):
         service, httpd = serve(port=0, config=ServiceConfig(workers=0), block=False)
         try:
-            client = ServiceClient(httpd.url, timeout=10.0)
-            sub = client.submit(other(93))
-            with pytest.raises(ServiceError) as exc:
-                client.plan(sub.job_id)
+            with ServiceClient(httpd.url, timeout=10.0) as client:
+                sub = client.submit(other(93))
+                with pytest.raises(ServiceError) as exc:
+                    client.plan(sub.job_id)
             assert exc.value.status == 409
         finally:
             httpd.shutdown()
@@ -248,10 +249,10 @@ class TestHTTPEndpoints:
             port=0, config=ServiceConfig(workers=0, queue_size=1), block=False
         )
         try:
-            client = ServiceClient(httpd.url, timeout=10.0)
-            client.submit(other(94))
-            with pytest.raises(Saturated) as exc:
-                client.submit(other(95))
+            with ServiceClient(httpd.url, timeout=10.0) as client:
+                client.submit(other(94))
+                with pytest.raises(Saturated) as exc:
+                    client.submit(other(95))
             assert exc.value.status == 429 and exc.value.retry_after > 0
             # the header is the transport for the hint
             req = urllib.request.Request(
@@ -261,6 +262,7 @@ class TestHTTPEndpoints:
             try:
                 urllib.request.urlopen(req, timeout=10)
             except urllib.error.HTTPError as err:
+                err.close()
                 assert err.code == 429
                 assert float(err.headers["Retry-After"]) > 0
         finally:
@@ -276,12 +278,14 @@ class TestHTTPEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=10)
+        exc.value.close()  # the error owns the response and its socket
         assert exc.value.code == 400
 
     def test_unknown_route_404(self, live):
         _, httpd, _ = live
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(httpd.url + "/nope", timeout=10)
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_metrics_endpoint_is_json(self, live):

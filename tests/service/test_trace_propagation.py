@@ -142,9 +142,8 @@ class TestHTTPTraceHeader:
 
     def test_client_sends_ambient_trace(self, live):
         service, httpd = live
-        client = ServiceClient(httpd.url, timeout=30.0)
         ctx = TraceContext.new_root()
-        with activate(ctx):
+        with ServiceClient(httpd.url, timeout=30.0) as client, activate(ctx):
             result = client.submit(req(43))
         job = wait_done(service, result.job_id)
         assert job.trace.trace_id == ctx.trace_id
@@ -154,8 +153,8 @@ class TestHTTPTraceHeader:
     def test_explicit_client_trace_beats_ambient(self, live):
         service, httpd = live
         explicit = TraceContext.new_root()
-        client = ServiceClient(httpd.url, timeout=30.0, trace=explicit)
-        with activate(TraceContext.new_root()):
+        with ServiceClient(httpd.url, timeout=30.0, trace=explicit) as client, \
+                activate(TraceContext.new_root()):
             result = client.submit(req(44))
         job = wait_done(service, result.job_id)
         assert job.trace.trace_id == explicit.trace_id

@@ -84,8 +84,8 @@ class TestBackpressure:
         """A choked server + the two client strategies run against it."""
         choked = ServiceConfig(workers=0, queue_size=1, default_time_limit=5.0)
         service, httpd = serve(port=0, config=choked, block=False)
+        client = ServiceClient(httpd.url, timeout=10.0)
         try:
-            client = ServiceClient(httpd.url, timeout=10.0)
             # Occupy the only queue slot; no worker will ever drain it.
             client.submit(drrp_payload([1.0], [0.1]))
             bp_config = CampaignConfig(
@@ -107,6 +107,7 @@ class TestBackpressure:
                 extra_policies={"svc-degrade": degrade, "svc-reject": reject},
             )
         finally:
+            client.close()
             httpd.shutdown()
             httpd.server_close()
             service.close()
