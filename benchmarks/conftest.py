@@ -19,14 +19,13 @@ Run with ``pytest benchmarks/ --benchmark-only``.
 from __future__ import annotations
 
 import inspect
-import json
-import os
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.solver.telemetry import EventRecorder, jsonable
+from repro import serialize
+from repro.solver.telemetry import EventRecorder
 
 __all__ = ["write_bench_record"]
 
@@ -35,7 +34,6 @@ def write_bench_record(
     result,
     median_s: float,
     recorder: EventRecorder | None = None,
-    out_dir: str | Path | None = None,
 ) -> Path | None:
     """Write ``BENCH_<experiment>.json`` for one benchmarked experiment.
 
@@ -58,20 +56,14 @@ def write_bench_record(
             "benders_iterations": summary["benders_iterations"],
             "phase_seconds": summary["phase_seconds"],
         }
-    payload = jsonable(
-        {
-            "name": name,
-            "median_wall_s": float(median_s),
-            "counters": counters,
-            "manifest_digest": result.digest() if hasattr(result, "digest") else None,
-            "created": time.time(),
-        }
-    )
-    out_dir = Path(out_dir if out_dir is not None else os.environ.get("REPRO_BENCH_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    return path
+    payload = {
+        "name": name,
+        "median_wall_s": float(median_s),
+        "counters": counters,
+        "manifest_digest": result.digest() if hasattr(result, "digest") else None,
+        "created": time.time(),
+    }
+    return serialize.write_bench_record(payload, f"BENCH_{name}.json")
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Performance benchmarks with committed JSON baselines.
 
-``repro bench-solver`` (:mod:`repro.bench.solver`) is the repo's first
+``repro bench solver`` (:mod:`repro.bench.solver`) is the repo's first
 perf baseline: seeded DRRP / random-MILP branch-and-bound runs and an
 SRRP-style two-stage Benders solve, reporting node throughput,
 pivots/solve, warm-hit rate, and wall time to ``BENCH_solver.json``.

@@ -117,7 +117,7 @@ def run_fleet_bench(cfg: FleetBenchConfig | None = None, listener=None) -> dict:
 
     ``listener`` attaches telemetry to the whole run: each leg gets its
     own span under one root ``bench_fleet`` span, so
-    ``repro profile bench-fleet`` can attribute the wall time.
+    :func:`repro.obs.prof.profile_events` can attribute the wall time.
     """
     cfg = cfg or FleetBenchConfig()
     hub = Telemetry.from_listener(listener)

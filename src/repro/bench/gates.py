@@ -3,12 +3,12 @@
 Every ``BENCH_*.json`` family (``solver``, ``fleet``, ``sim``,
 ``service``) is held to the rows of :data:`GATES`, and
 :func:`check_record` is the only function that reads them: CI's
-``--check-against`` gates, ``bench-service``'s self-check and
-``bench-report``'s headline table all go through this module.
+``--check-against`` gates, ``bench service``'s self-check and
+``bench report``'s headline table all go through this module.
 
 A row is data, not code:
 
-* ``label`` names the gated number (the ``bench-report`` headline and
+* ``label`` names the gated number (the ``bench report`` headline and
   the start of every failure line; ``{}`` is filled with the key a
   ``*`` matched);
 * ``path`` is a dotted record path, where a ``*`` segment stands for

@@ -9,7 +9,7 @@ the numbers the rows of :mod:`repro.bench.gates` hold (its
 :func:`~repro.bench.gates.headline_metrics`), with a delta column when
 both a committed and a fresh record exist.
 
-``repro bench-report`` is the CLI face; everything here is pure
+``repro bench report`` is the CLI face; everything here is pure
 dict-in/lines-out so tests can drive it on fixture records.
 """
 

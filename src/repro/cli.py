@@ -32,43 +32,33 @@ Commands mirror the library's main workflows:
 ``submit``
     Submit one planning job to a running ``serve`` instance and print
     the plan.  Stdlib-only client path — works without numpy installed.
-``bench-service``
-    Deterministic load-generator benchmark against an in-process server;
-    writes ``BENCH_service.json`` and exits nonzero when a ``service``
-    row of :mod:`repro.bench.gates` fails: a dropped request, a cache
-    hit rate below the duplicate share, or no 429 under saturation.
-``bench-solver``
-    Solver hot-path benchmark (:mod:`repro.bench.solver`): warm vs cold
-    branch-and-bound node throughput, DRRP solve times, serial vs
-    parallel Benders; writes ``BENCH_solver.json``.  With
-    ``--check-against BASELINE`` it exits nonzero when a ``solver`` row
-    of :mod:`repro.bench.gates` fails against the committed baseline
-    (the CI gate).
 ``plan-fleet``
     Plan a seeded multi-tenant fleet against shared capacity pools
     (:mod:`repro.fleet`): heuristic tier, gap-triggered MILP escalation,
     pool-overload repair; prints per-pool usage and the method mix.
-``bench-fleet``
-    Fleet planning benchmark (:mod:`repro.bench.fleet`): tenants/minute,
-    heuristic-vs-MILP cost ratio on the escalation-eligible cohort,
-    compile shape-cache hit rate; writes ``BENCH_fleet.json``.  With
-    ``--check-against BASELINE`` it exits nonzero when a ``fleet`` row
-    of :mod:`repro.bench.gates` fails (the CI gate).
 ``trace``
     Merge per-process JSONL event files (``simulate --trace-dir``, the
     service's per-job captures, ``run --out-dir``) into one Chrome trace
     with real pid lanes and cross-process flow arrows
     (:mod:`repro.obs.propagate`).
 ``profile``
-    Deterministic phase profiler (:mod:`repro.obs.prof`): attribute wall
-    time to simplex phases, B&B node lifecycle, Benders
+    Deterministic phase profiler (:mod:`repro.obs.prof`): attribute the
+    wall time of a recorded event log (``run drrp --out-dir D`` writes
+    ``D/events.jsonl``) to simplex phases, B&B node lifecycle, Benders
     master/subproblem/IPC, and service queue wait; ``--speedscope``
     exports a speedscope-JSON flamechart.  ``profile bench-solver``
-    additionally fails (exit 1) when less than 95% of the bench wall
-    time is attributed.
-``bench-report``
-    Print the gated numbers (the rows of :mod:`repro.bench.gates`) of
-    every committed ``BENCH_*.json`` next to fresh records from
+    re-runs the solver benchmark under the profiler and fails (exit 1)
+    when less than 95% of its wall time is attributed.
+``bench``
+    ``bench {solver,fleet,sim,service}`` runs one benchmark family
+    (:mod:`repro.bench.solver`, :mod:`repro.bench.fleet`,
+    :mod:`repro.sim.bench`, :mod:`repro.service.loadgen`) and writes its
+    ``BENCH_<family>.json``; ``--set FIELD=VALUE`` sets a field of the
+    family's config dataclass.  With ``--check-against BASELINE`` it
+    exits 1 when a row of :mod:`repro.bench.gates` fails against the
+    baseline (the CI gates); the ``service`` rows need no baseline and
+    always run.  ``bench report`` prints the gated numbers of every
+    committed ``BENCH_*.json`` next to fresh records from
     ``REPRO_BENCH_DIR``/``bench-out/``.
 
 Exit codes, uniformly: ``0`` success (``plan``/``submit``: the plan is
@@ -111,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--telemetry", choices=("summary", "json"), default=None,
         help="record solve events: 'summary' prints one line, 'json' dumps the stream",
-    )
-    p_plan.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a Chrome trace-event file of the solve (open in ui.perfetto.dev)",
-    )
-    p_plan.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="write a run manifest (seed/config/backend chain/result digest) as JSON",
     )
 
     p_run = sub.add_parser(
@@ -314,51 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--json", action="store_true", dest="as_json",
                        help="print the raw plan payload as JSON")
 
-    p_bench = sub.add_parser(
-        "bench-service", help="deterministic load-generator benchmark for the service"
-    )
-    p_bench.add_argument("--requests", type=int, default=200,
-                         help="total submissions (default 200)")
-    p_bench.add_argument("--duplicate-share", type=float, default=0.3,
-                         help="fraction of submissions repeating an earlier instance (default 0.3)")
-    p_bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_bench.add_argument("--workers", type=int, default=2, help="server worker threads")
-    p_bench.add_argument("--client-threads", type=int, default=8,
-                         help="concurrent client threads (default 8)")
-    p_bench.add_argument("--out", default="BENCH_service.json", metavar="FILE",
-                         help="benchmark record filename (REPRO_BENCH_DIR honored)")
-
-    p_bsol = sub.add_parser(
-        "bench-solver", help="solver hot-path benchmark (warm starts, parallel Benders)"
-    )
-    p_bsol.add_argument("--seed", type=int, default=0, help="instance seed (default 0)")
-    p_bsol.add_argument("--bb-instances", type=int, default=None,
-                        help="random MILPs in the branch-and-bound leg (default 3)")
-    p_bsol.add_argument("--bb-vars", type=int, default=None,
-                        help="variables per random MILP (default 24)")
-    p_bsol.add_argument("--bb-rows", type=int, default=None,
-                        help="inequality rows per random MILP (default 20)")
-    p_bsol.add_argument("--node-limit", type=int, default=None,
-                        help="B&B node cap per instance (default 2000)")
-    p_bsol.add_argument("--drrp-horizon", type=int, default=None,
-                        help="DRRP leg horizon in slots (default 24)")
-    p_bsol.add_argument("--scenarios", type=int, default=None,
-                        help="Benders scenarios, minimum 8 (default 12)")
-    p_bsol.add_argument("--large-horizon", type=int, default=None,
-                        help="large-tier DRRP periods (default 48)")
-    p_bsol.add_argument("--large-classes", type=int, default=None,
-                        help="large-tier instance classes per period (default 8)")
-    p_bsol.add_argument("--large-resolves", type=int, default=None,
-                        help="large-tier child LPs, re-solved warm by the revised "
-                             "simplex and cold by HiGHS (default 60)")
-    p_bsol.add_argument("--workers", type=int, default=None,
-                        help="Benders fan-out width (default: auto)")
-    p_bsol.add_argument("--out", default="BENCH_solver.json", metavar="FILE",
-                        help="benchmark record filename (REPRO_BENCH_DIR honored)")
-    p_bsol.add_argument("--check-against", default=None, metavar="BASELINE",
-                        help="compare against a committed BENCH_solver.json; "
-                             "exit 1 on any failed gate (repro.bench.gates)")
-
     p_pf = sub.add_parser(
         "plan-fleet",
         help="plan a seeded multi-tenant fleet against shared capacity pools",
@@ -378,54 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="heuristic tier only; skip gap-triggered MILP escalation")
     p_pf.add_argument("--json", action="store_true", dest="as_json",
                       help="print the full fleet summary as JSON")
-
-    p_bfl = sub.add_parser(
-        "bench-fleet",
-        help="fleet planning benchmark (tenant throughput, heuristic quality, "
-             "compile-cache reuse)",
-    )
-    p_bfl.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
-    p_bfl.add_argument("--tenants", type=int, default=None,
-                       help="fleet size (default 1000)")
-    p_bfl.add_argument("--horizon", type=int, default=None,
-                       help="planning horizon in slots (default 24)")
-    p_bfl.add_argument("--utilization", type=float, default=None,
-                       help="pool capacity fraction (default 0.6)")
-    p_bfl.add_argument("--milp-sample", type=int, default=None,
-                       help="escalation-eligible tenants in the heuristic-vs-MILP "
-                            "cohort (default 64)")
-    p_bfl.add_argument("--workers", type=int, default=None,
-                       help="per-tenant fan-out width (default: auto)")
-    p_bfl.add_argument("--out", default="BENCH_fleet.json", metavar="FILE",
-                       help="benchmark record filename (REPRO_BENCH_DIR honored)")
-    p_bfl.add_argument("--check-against", default=None, metavar="BASELINE",
-                       help="compare against a committed BENCH_fleet.json; exit 1 "
-                            "on any failed gate (repro.bench.gates)")
-
-    p_bsim = sub.add_parser(
-        "bench-sim",
-        help="closed-loop simulation benchmark (cost-of-planning curves, "
-             "service consistency, backpressure)",
-    )
-    p_bsim.add_argument("--seed", type=int, default=2012, help="campaign seed")
-    p_bsim.add_argument("--vm", default="c1.medium")
-    p_bsim.add_argument("--slots", type=int, default=720,
-                        help="campaign evaluation slots (default 720)")
-    p_bsim.add_argument("--estimation-slots", type=int, default=1440,
-                        help="price history ahead of the campaign (default 1440)")
-    p_bsim.add_argument("--prediction", type=int, default=48,
-                        help="replan lookahead in slots (default 48)")
-    p_bsim.add_argument("--control", type=int, default=24,
-                        help="slots executed per replan (default 24)")
-    p_bsim.add_argument("--coarse-block", type=int, default=4,
-                        help="slots per far-term aggregate block (default 4)")
-    p_bsim.add_argument("--service-slots", type=int, default=96,
-                        help="window for the service/backpressure legs (default 96)")
-    p_bsim.add_argument("--out", default="BENCH_sim.json", metavar="FILE",
-                        help="benchmark record filename (REPRO_BENCH_DIR honored)")
-    p_bsim.add_argument("--check-against", default=None, metavar="BASELINE",
-                        help="compare against a committed BENCH_sim.json; exit 1 "
-                             "on any failed gate (repro.bench.gates)")
 
     p_trace = sub.add_parser(
         "trace",
@@ -448,13 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "target",
-        help="'plan' (profile one DRRP solve), 'bench-solver' (profile the "
-             "solver benchmark), or a path to a recorded events.jsonl",
+        help="a recorded events.jsonl (e.g. from 'run drrp --out-dir'), or "
+             "'bench-solver' to profile the solver benchmark",
     )
-    p_prof.add_argument("--vm", default="m1.large", help="VM class for 'plan'")
-    p_prof.add_argument("--horizon", type=int, default=24, help="'plan' horizon (default 24)")
-    p_prof.add_argument("--seed", type=int, default=0, help="seed for 'plan'/'bench-solver'")
-    p_prof.add_argument("--backend", default="auto", help="solver backend for 'plan'")
+    p_prof.add_argument("--seed", type=int, default=0, help="'bench-solver': instance seed")
     p_prof.add_argument("--node-limit", type=int, default=None,
                         help="'bench-solver': B&B node cap override")
     p_prof.add_argument("--scenarios", type=int, default=None,
@@ -464,37 +350,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--json", default=None, metavar="FILE", dest="out_json",
                         help="write the phase profile as JSON")
 
-    p_brep = sub.add_parser(
-        "bench-report",
-        help="print the benchmark headline-metric table: committed "
-             "BENCH_*.json baselines vs fresh records",
+    p_bench = sub.add_parser(
+        "bench",
+        help="run one benchmark family and gate its BENCH_<family>.json, or "
+             "print the gated numbers of every record (report)",
     )
-    p_brep.add_argument("--dir", default=".", metavar="DIR",
-                        help="directory holding the committed BENCH_*.json (default .)")
-    p_brep.add_argument("--fresh", default=None, metavar="DIR",
-                        help="directory with fresh records (default: REPRO_BENCH_DIR "
-                             "or bench-out/ when present)")
+    p_bench.add_argument("family", choices=(*_BENCH_FAMILIES, "report"),
+                         help="the benchmark to run, or 'report'")
+    p_bench.add_argument(
+        "--set", action="append", default=[], metavar="FIELD=VALUE", dest="settings",
+        help="set a field of the family's config dataclass (repeatable), e.g. "
+             "--set seed=1 --set out=BENCH_tiny.json (REPRO_BENCH_DIR honored)",
+    )
+    p_bench.add_argument("--check-against", default=None, metavar="BASELINE",
+                         help="hold the fresh record to the family's rows of "
+                              "repro.bench.gates against BASELINE; exit 1 on a failure")
+    p_bench.add_argument("--dir", default=None, metavar="DIR",
+                         help="report: directory holding the committed BENCH_*.json "
+                              "(default .)")
+    p_bench.add_argument("--fresh", default=None, metavar="DIR",
+                         help="report: directory with fresh records (default: "
+                              "REPRO_BENCH_DIR or bench-out/ when present)")
 
     return parser
-
-
-def _plan_result_payload(vm_name: str, horizon: int, plan) -> dict:
-    """The replay-stable view of one DRRP plan, for run-manifest digests."""
-    return {
-        "vm": vm_name,
-        "horizon": horizon,
-        "status": plan.status.value,
-        "total_cost": float(plan.total_cost),
-        "alpha": [float(x) for x in plan.alpha],
-        "beta": [float(x) for x in plan.beta],
-        "chi": [int(round(float(x))) for x in plan.chi],
-    }
 
 
 def _cmd_plan(args) -> int:
     from repro.core import DRRPInstance, NormalDemand, on_demand_schedule, solve_drrp, solve_noplan
     from repro.market import ec2_catalog
-    from repro.solver import EventRecorder, Telemetry
+    from repro.solver import EventRecorder
 
     catalog = ec2_catalog()
     if args.vm not in catalog:
@@ -506,18 +390,9 @@ def _cmd_plan(args) -> int:
         demand=demand, costs=on_demand_schedule(vm, args.horizon), vm_name=vm.name
     )
     solve_kwargs = {}
-    recorder = tracer = None
-    if args.telemetry or args.trace or args.manifest:
-        recorder = EventRecorder()
-        listeners = [recorder]
-        if args.trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
-            listeners.append(tracer)
-        solve_kwargs["listener"] = (
-            recorder if len(listeners) == 1 else Telemetry(listeners=listeners)
-        )
+    recorder = None
+    if args.telemetry:
+        recorder = solve_kwargs["listener"] = EventRecorder()
     if args.time_limit is not None:
         solve_kwargs["time_limit"] = args.time_limit
         # WW seed guarantees an incumbent, so a tight budget still yields a plan
@@ -547,36 +422,7 @@ def _cmd_plan(args) -> int:
     if recorder is not None:
         if args.telemetry == "json":
             print(recorder.to_json(indent=2))
-        if args.telemetry:
-            print(recorder.summary_line())
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        roots = tracer.finish()
-        path = write_chrome_trace(
-            args.trace, roots, tracer.markers, label=f"repro plan {vm.name}"
-        )
-        print(f"trace: {path}")
-    if args.manifest:
-        from repro.obs import RunManifest
-
-        manifest = RunManifest.from_run(
-            "plan",
-            f"{vm.name}/{args.horizon}",
-            result=_plan_result_payload(vm.name, args.horizon, plan),
-            seed=args.seed,
-            config={
-                "vm": vm.name, "horizon": args.horizon, "backend": args.backend,
-                "demand_mean": args.demand_mean, "demand_std": args.demand_std,
-                "time_limit": args.time_limit,
-            },
-            recorded_events=recorder.events,
-            deadline_budget=args.time_limit,
-            elapsed=recorder.events[-1].t if recorder.events else None,
-        )
-        manifest.write(args.manifest)
-        print(manifest.summary_line())
-        print(f"manifest: {args.manifest}")
+        print(recorder.summary_line())
     # Exit-code contract: 0 only for a proven optimum; a usable incumbent
     # under a budget (FEASIBLE/TIME_LIMIT) is 3 so scripts can tell.
     return 0 if plan.status.value == "optimal" else 3
@@ -635,7 +481,15 @@ def _run_drrp_observed(args) -> int:
     manifest = RunManifest.from_run(
         "plan",
         f"drrp:{vm.name}/{horizon}",
-        result=_plan_result_payload(vm.name, horizon, plan),
+        result={  # the replay-stable view of the plan
+            "vm": vm.name,
+            "horizon": horizon,
+            "status": plan.status.value,
+            "total_cost": float(plan.total_cost),
+            "alpha": [float(x) for x in plan.alpha],
+            "beta": [float(x) for x in plan.beta],
+            "chi": [int(round(float(x))) for x in plan.chi],
+        },
         seed=seed,
         config={"vm": vm.name, "horizon": horizon, "backend": backend,
                 "time_limit": args.time_limit},
@@ -1115,95 +969,6 @@ def _cmd_submit(args) -> int:
     return 0
 
 
-def _cmd_bench_service(args) -> int:
-    from repro.service.loadgen import LoadgenConfig, run_loadgen, summary_line
-
-    try:
-        cfg = LoadgenConfig(
-            requests=args.requests,
-            duplicate_share=args.duplicate_share,
-            seed=args.seed,
-            workers=args.workers,
-            client_threads=args.client_threads,
-            out=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    record = run_loadgen(cfg)
-    # The service gates need no baseline: they always run.
-    return _gate_bench(record, [summary_line(record)], None, alone=True)
-
-
-def _gate_bench(record: dict, summary: list[str], check_against: str | None,
-                alone: bool = False) -> int:
-    """Print a bench record's summary and path, then hold it to its rows
-    of :mod:`repro.bench.gates`: against the ``check_against`` baseline
-    when one is given, on its own only when ``alone``."""
-    import json
-    from pathlib import Path
-
-    from repro.bench.gates import check_record
-
-    for line in summary:
-        print(line)
-    if "path" in record:
-        print(f"record: {record['path']}")
-    baseline = None
-    if check_against:
-        baseline_path = Path(check_against)
-        if not baseline_path.is_file():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-    elif not alone:
-        return 0
-    failures = check_record(record, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    if check_against:
-        print(f"regression gate passed against {check_against}")
-    return 0
-
-
-def _cmd_bench_solver(args) -> int:
-    from repro.bench import SolverBenchConfig, run_solver_bench, summary_lines
-
-    overrides = {
-        name: value
-        for name, value in (
-            ("bb_instances", args.bb_instances),
-            ("bb_vars", args.bb_vars),
-            ("bb_rows", args.bb_rows),
-            ("node_limit", args.node_limit),
-            ("drrp_horizon", args.drrp_horizon),
-            ("scenarios", args.scenarios),
-            ("large_horizon", args.large_horizon),
-            ("large_classes", args.large_classes),
-            ("large_resolves", args.large_resolves),
-        )
-        if value is not None
-    }
-    try:
-        cfg = SolverBenchConfig(
-            seed=args.seed,
-            benders_workers=args.workers,
-            out=args.out,
-            **overrides,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = run_solver_bench(cfg)
-    except RuntimeError as exc:  # a leg failed or warm/cold disagreed
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _gate_bench(record, summary_lines(record), args.check_against)
-
-
 def _cmd_plan_fleet(args) -> int:
     import json
 
@@ -1246,56 +1011,6 @@ def _cmd_plan_fleet(args) -> int:
     return 0
 
 
-def _cmd_bench_fleet(args) -> int:
-    from repro.bench import FleetBenchConfig, fleet_summary_lines, run_fleet_bench
-
-    overrides = {
-        name: value
-        for name, value in (
-            ("tenants", args.tenants),
-            ("horizon", args.horizon),
-            ("utilization", args.utilization),
-            ("milp_sample", args.milp_sample),
-        )
-        if value is not None
-    }
-    try:
-        cfg = FleetBenchConfig(
-            seed=args.seed, workers=args.workers, out=args.out, **overrides
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = run_fleet_bench(cfg)
-    except RuntimeError as exc:  # a leg failed or the plan was infeasible
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _gate_bench(record, fleet_summary_lines(record), args.check_against)
-
-
-def _cmd_bench_sim(args) -> int:
-    from repro.sim.bench import SimBenchConfig, run_sim_bench, summary_lines
-
-    try:
-        cfg = SimBenchConfig(
-            seed=args.seed,
-            vm=args.vm,
-            slots=args.slots,
-            estimation_slots=args.estimation_slots,
-            prediction=args.prediction,
-            control=args.control,
-            coarse_block=args.coarse_block,
-            service_slots=args.service_slots,
-            out=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    record = run_sim_bench(cfg)
-    return _gate_bench(record, summary_lines(record), args.check_against)
-
-
 def _cmd_trace(args) -> int:
     import json
     from pathlib import Path
@@ -1334,24 +1049,7 @@ def _cmd_profile(args) -> int:
 
     target = args.target
     recorder = EventRecorder()
-    if target == "plan":
-        from repro.core import DRRPInstance, NormalDemand, on_demand_schedule, solve_drrp
-        from repro.market import ec2_catalog
-
-        catalog = ec2_catalog()
-        if args.vm not in catalog:
-            print(f"unknown VM class {args.vm!r}; choose from {sorted(catalog)}",
-                  file=sys.stderr)
-            return 2
-        vm = catalog[args.vm]
-        demand = NormalDemand().sample(args.horizon, args.seed)
-        inst = DRRPInstance(
-            demand=demand, costs=on_demand_schedule(vm, args.horizon), vm_name=vm.name
-        )
-        solve_drrp(inst, backend=args.backend, listener=recorder)
-        events = recorder.events
-        name = f"repro plan {vm.name}/{args.horizon}"
-    elif target == "bench-solver":
+    if target == "bench-solver":
         from repro.bench import SolverBenchConfig, run_solver_bench
 
         overrides = {}
@@ -1370,8 +1068,8 @@ def _cmd_profile(args) -> int:
     else:
         path = Path(target)
         if not path.is_file():
-            print(f"error: profile target {target!r} is not 'plan', "
-                  f"'bench-solver', or an event file", file=sys.stderr)
+            print(f"error: profile target {target!r} is not 'bench-solver' "
+                  f"or an event file", file=sys.stderr)
             return 2
         from repro.obs.propagate import read_process_events
 
@@ -1398,21 +1096,109 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_bench_report(args) -> int:
+#: ``repro bench`` families: the module holding each family's config
+#: dataclass, runner and summary (its ``out`` field names the record,
+#: ``BENCH_<family>.json``), and whether its gates run with no baseline.
+_BENCH_FAMILIES = {
+    "solver": ("repro.bench.solver", "SolverBenchConfig", "run_solver_bench",
+               "summary_lines", False),
+    "fleet": ("repro.bench.fleet", "FleetBenchConfig", "run_fleet_bench",
+              "fleet_summary_lines", False),
+    "sim": ("repro.sim.bench", "SimBenchConfig", "run_sim_bench", "summary_lines", False),
+    "service": ("repro.service.loadgen", "LoadgenConfig", "run_loadgen",
+                "summary_line", True),
+}
+
+
+def _bench_config(config_cls, settings: list[str]):
+    """``config_cls`` with each ``FIELD=VALUE`` of ``settings`` applied,
+    the value parsed as the field's declared type.  Raises
+    ``ValueError`` naming the bad setting."""
+    import dataclasses
+    import typing
+
+    hints = typing.get_type_hints(config_cls)
+    names = [f.name for f in dataclasses.fields(config_cls)]
+    values = {}
+    for setting in settings:
+        name, sep, raw = setting.partition("=")
+        if not sep or name not in names:
+            raise ValueError(f"--set {setting}: expected FIELD=VALUE with FIELD "
+                             f"one of {', '.join(names)}")
+        # ``int | None`` parses as int: the default is the only None.
+        kind = next(k for k in typing.get_args(hints[name]) or (hints[name],)
+                    if k is not type(None))
+        try:
+            values[name] = kind(raw)
+        except ValueError:
+            raise ValueError(
+                f"--set {setting}: {name} takes {kind.__name__}, not {raw!r}"
+            ) from None
+    return config_cls(**values)
+
+
+def _cmd_bench(args) -> int:
+    import importlib
+    import json
     import os
     from pathlib import Path
 
-    from repro.bench.report import report_lines
+    if args.family == "report":
+        if args.settings or args.check_against:
+            print("error: bench report takes only --dir and --fresh", file=sys.stderr)
+            return 2
+        from repro.bench.report import report_lines
 
-    fresh = args.fresh
-    if fresh is None:
-        env = os.environ.get("REPRO_BENCH_DIR")
-        if env and Path(env).is_dir():
-            fresh = env
-        elif Path("bench-out").is_dir():
-            fresh = "bench-out"
-    for line in report_lines(args.dir, fresh):
+        fresh = args.fresh
+        if fresh is None:
+            env = os.environ.get("REPRO_BENCH_DIR")
+            if env and Path(env).is_dir():
+                fresh = env
+            elif Path("bench-out").is_dir():
+                fresh = "bench-out"
+        for line in report_lines(args.dir or ".", fresh):
+            print(line)
+        return 0
+    if args.dir is not None or args.fresh is not None:
+        print("error: --dir and --fresh apply only to bench report", file=sys.stderr)
+        return 2
+
+    from repro.bench.gates import check_record
+
+    module, config_name, runner, summary, alone = _BENCH_FAMILIES[args.family]
+    module = importlib.import_module(module)
+    try:
+        config = _bench_config(getattr(module, config_name), args.settings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        record = getattr(module, runner)(config)
+    except RuntimeError as exc:  # a leg failed or its answers disagreed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    lines = getattr(module, summary)(record)
+    for line in [lines] if isinstance(lines, str) else lines:
         print(line)
+    if "path" in record:
+        print(f"record: {record['path']}")
+    # The baseline is read after the run, so it may be the record just written.
+    baseline = None
+    if args.check_against:
+        baseline_path = Path(args.check_against)
+        if not baseline_path.is_file():
+            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
+            return 2
+        baseline = json.loads(baseline_path.read_text())
+    elif not alone:
+        return 0
+    failures = check_record(record, baseline)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    if baseline is not None:
+        print(f"regression gate passed against {args.check_against}")
     return 0
 
 
@@ -1426,14 +1212,10 @@ _COMMANDS = {
     "fuzz": _cmd_fuzz,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "bench-service": _cmd_bench_service,
-    "bench-solver": _cmd_bench_solver,
     "plan-fleet": _cmd_plan_fleet,
-    "bench-fleet": _cmd_bench_fleet,
-    "bench-sim": _cmd_bench_sim,
     "trace": _cmd_trace,
     "profile": _cmd_profile,
-    "bench-report": _cmd_bench_report,
+    "bench": _cmd_bench,
 }
 
 

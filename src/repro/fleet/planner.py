@@ -28,7 +28,7 @@ The pipeline:
 Same-shape tenant models share one compiled sparsity pattern through the
 ``Model.compile`` shape cache; the per-process cache counters are
 aggregated across workers and reported in :class:`FleetPlan` so
-``repro bench-fleet`` can gate the hit rate.
+``repro bench fleet`` can gate the hit rate.
 """
 
 from __future__ import annotations

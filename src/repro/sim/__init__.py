@@ -12,7 +12,7 @@ replans optionally routed through a live :mod:`repro.service` server.
   service-routed);
 * :mod:`repro.sim.engine` — :func:`run_campaign`: trace synthesis,
   policy roster, spans/metrics, and the campaign :class:`RunManifest`;
-* :mod:`repro.sim.bench` — the ``repro bench-sim`` benchmark (its CI
+* :mod:`repro.sim.bench` — the ``repro bench sim`` benchmark (its CI
   gate is the ``sim`` rows of :mod:`repro.bench.gates`).
 """
 

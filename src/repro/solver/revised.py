@@ -13,7 +13,7 @@ rank-1 elimination per pivot, the engine keeps
 
 Per-pivot cost is O(m^2 + n) vector updates rather than O(m*n)
 *tableau-wide* elimination, and warm re-solves never materialize the dense
-``solve(B, A)`` body.  ``repro bench-solver`` times a warm re-solve chain
+``solve(B, A)`` body.  ``repro bench solver`` times a warm re-solve chain
 on a 768-var tier against HiGHS solving the same LPs.
 
 Refactorization policy

@@ -21,10 +21,11 @@ def _load_bench_conftest():
 
 
 class TestBenchRecord:
-    def test_writes_record_for_figure_bench(self, tmp_path):
+    def test_writes_record_for_figure_bench(self, tmp_path, monkeypatch):
         bench = _load_bench_conftest()
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         result = fig4_updates.run()
-        path = bench.write_bench_record(result, 0.123, out_dir=tmp_path)
+        path = bench.write_bench_record(result, 0.123)
         assert path == tmp_path / "BENCH_fig4.json"
         payload = json.loads(path.read_text())
         assert payload["name"] == "fig4"
@@ -32,12 +33,12 @@ class TestBenchRecord:
         assert payload["manifest_digest"] == result.digest()
         assert payload["counters"] == {}  # no recorder attached
 
-    def test_counters_come_from_recorded_events(self, tmp_path):
+    def test_counters_come_from_recorded_events(self, tmp_path, monkeypatch):
         bench = _load_bench_conftest()
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         recorder = EventRecorder()
         result = fig10_drrp_costs.run(horizon=6, n_trials=1, listener=recorder)
-        path = bench.write_bench_record(result, 0.5, recorder=recorder,
-                                        out_dir=tmp_path)
+        path = bench.write_bench_record(result, 0.5, recorder=recorder)
         payload = json.loads(path.read_text())
         counters = payload["counters"]
         assert counters["events"] == len(recorder)
@@ -52,7 +53,8 @@ class TestBenchRecord:
         path = bench.write_bench_record(result, 0.01)
         assert path.parent == tmp_path / "env"
 
-    def test_non_experiment_result_yields_no_record(self, tmp_path):
+    def test_non_experiment_result_yields_no_record(self, tmp_path, monkeypatch):
         bench = _load_bench_conftest()
-        assert bench.write_bench_record(object(), 0.1, out_dir=tmp_path) is None
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        assert bench.write_bench_record(object(), 0.1) is None
         assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.solver.interface as interface_mod
 import repro.solver.scipy_backend as scipy_backend_mod
@@ -343,8 +343,9 @@ class TestEventStream:
 
 
 class TestCrossBackendAgreement:
-    """Property: all backends agree (objective within 1e-6) on randomized
-    small lot-sizing / DRRP-structured instances."""
+    """Property: all backends agree on randomized small lot-sizing /
+    DRRP-structured instances (the exact engines within 1e-6, HiGHS
+    within its own tolerances of them)."""
 
     def _backends(self):
         backends = ["simplex", "simplex+cuts"]
@@ -353,6 +354,12 @@ class TestCrossBackendAgreement:
         return backends
 
     @given(st.integers(0, 10_000))
+    # The seeds where HiGHS left its default 1e-4 MIP gap (2543) or broke
+    # a balance row within its feasibility tolerance (2891, 5775, 6739).
+    @example(2543)
+    @example(2891)
+    @example(5775)
+    @example(6739)
     @settings(max_examples=12, deadline=None)
     def test_lot_sizing_instances(self, seed):
         rng = np.random.default_rng(seed)
@@ -361,9 +368,18 @@ class TestCrossBackendAgreement:
         setup = float(rng.uniform(0.5, 8.0))
         hold = float(rng.uniform(0.05, 1.0))
         m = lot_sizing_model(demand, setup, hold)
-        objs = {be: solve(m, backend=be).objective for be in self._backends()}
+        objs = {be: solve(m, backend=be).objective for be in ("simplex", "simplex+cuts")}
         lo, hi = min(objs.values()), max(objs.values())
-        assert hi - lo < 1e-6, f"backends disagree: {objs}"
+        assert hi - lo < 1e-6, f"exact engines disagree: {objs}"
+        if scipy_available():
+            # With a zero gap HiGHS never lands above the optimum, but its
+            # point may break a row within its feasibility tolerance and so
+            # land a little below it.
+            highs = solve(m, backend="scipy", mip_rel_gap=0.0).objective
+            exact = objs["simplex"]
+            assert exact - 1e-6 * max(1.0, abs(exact)) <= highs <= exact + 1e-6, (
+                f"HiGHS {highs} outside its tolerance of the exact {exact}"
+            )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)

@@ -147,14 +147,15 @@ class TestServiceCommands:
 
     def test_bench_service_small_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        code = main(["bench-service", "--requests", "20", "--duplicate-share", "0.3"])
+        code = main(["bench", "service", "--set", "requests=20",
+                     "--set", "duplicate_share=0.3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "service bench: 20 reqs" in out
         assert (tmp_path / "BENCH_service.json").exists()
 
     def test_bench_service_bad_args_is_2(self, capsys):
-        assert main(["bench-service", "--requests", "0"]) == 2
+        assert main(["bench", "service", "--set", "requests=0"]) == 2
         capsys.readouterr()
 
 
@@ -257,23 +258,29 @@ class TestReportOnRecordedFiles:
         assert "not a trace" in capsys.readouterr().err
 
 
-class TestPlanObservability:
-    def test_trace_and_manifest_flags(self, tmp_path, capsys):
-        trace = tmp_path / "plan.trace.json"
-        manifest = tmp_path / "plan.manifest.json"
-        code = main(["plan", "--horizon", "6", "--seed", "2",
-                     "--trace", str(trace), "--manifest", str(manifest)])
+class TestRunDrrpObservability:
+    def test_out_dir_trace_and_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = main(["run", "drrp", "--horizon", "6", "--seed", "2",
+                     "--out-dir", str(out_dir)])
         out = capsys.readouterr().out
         assert code == 0
-        assert trace.exists() and manifest.exists()
-        assert "manifest: plan/m1.large/6" in out
+        assert "plan/drrp:m1.large/6" in out
 
         from repro.obs import RunManifest, load_chrome_trace
 
-        roots, _ = load_chrome_trace(trace)
+        roots, _ = load_chrome_trace(out_dir / "drrp.trace.json")
         assert any(r.category == "solve" for r in roots)
-        man = RunManifest.load(manifest)
+        man = RunManifest.load(out_dir / "manifest.json")
         assert man.seed == 2 and man.config["horizon"] == 6
+
+    def test_profile_reads_the_event_log(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["run", "drrp", "--horizon", "6", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["profile", str(out_dir / "events.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "solve[auto]" in out and "(100.0%)" in out
 
 
 class TestFuzzObservability:
@@ -299,27 +306,25 @@ class TestFuzzObservability:
 
 class TestBenchSolverCommand:
     def _tiny(self, extra=()):
-        return [
-            "bench-solver", "--seed", "1", "--bb-instances", "1",
-            "--bb-vars", "6", "--bb-rows", "4", "--node-limit", "200",
-            "--drrp-horizon", "6", "--scenarios", "8", *extra,
-        ]
+        settings = ("seed=1", "bb_instances=1", "bb_vars=6", "bb_rows=4",
+                    "node_limit=200", "drrp_horizon=6", "scenarios=8")
+        return ["bench", "solver", *(a for v in settings for a in ("--set", v)), *extra]
 
     def test_writes_record_and_summary(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        code = main(self._tiny(["--out", "BENCH_tiny.json"]))
+        code = main(self._tiny(["--set", "out=BENCH_tiny.json"]))
         out = capsys.readouterr().out
         assert code == 0
         assert "bb: warm" in out and "benders:" in out
         assert (tmp_path / "BENCH_tiny.json").exists()
 
     def test_check_against_self_passes(self, capsys, tmp_path, monkeypatch):
-        # --out and --check-against point at the same file: the fresh
+        # out and --check-against point at the same file: the fresh
         # record is written first, so the gate compares a record against
         # itself — deterministic, exercises the full CLI path.
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         code = main(self._tiny([
-            "--out", "base.json", "--check-against", str(tmp_path / "base.json"),
+            "--set", "out=base.json", "--check-against", str(tmp_path / "base.json"),
         ]))
         out = capsys.readouterr().out
         assert code == 0
@@ -332,6 +337,44 @@ class TestBenchSolverCommand:
         assert "not found" in capsys.readouterr().err
 
     def test_too_few_scenarios_exits_2(self, capsys):
-        code = main(["bench-solver", "--scenarios", "3"])
+        code = main(["bench", "solver", "--set", "scenarios=3"])
         assert code == 2
         assert "scenarios" in capsys.readouterr().err
+
+
+class TestBenchUsageErrors:
+    """Each bad ``bench`` invocation exits 2 with one ``error:`` line."""
+
+    def _one_error(self, err: str) -> None:
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    def test_unknown_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        self._one_error(err)
+        assert "invalid choice: 'nope'" in err
+
+    def test_unknown_field(self, capsys):
+        assert main(["bench", "fleet", "--set", "tenant=3"]) == 2
+        err = capsys.readouterr().err
+        self._one_error(err)
+        assert "tenant=3" in err and "tenants" in err
+
+    def test_wrong_type(self, capsys):
+        assert main(["bench", "sim", "--set", "slots=many"]) == 2
+        err = capsys.readouterr().err
+        self._one_error(err)
+        assert "slots takes int" in err
+
+    def test_report_rejects_family_options(self, capsys):
+        assert main(["bench", "report", "--set", "seed=1"]) == 2
+        self._one_error(capsys.readouterr().err)
+
+    def test_optional_field_takes_its_type(self):
+        from repro.bench import FleetBenchConfig
+        from repro.cli import _bench_config
+
+        cfg = _bench_config(FleetBenchConfig, ["workers=1", "utilization=0.5"])
+        assert cfg.workers == 1 and cfg.utilization == 0.5
