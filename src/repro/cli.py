@@ -1059,6 +1059,10 @@ def _cmd_profile(args) -> int:
             overrides["scenarios"] = args.scenarios
         try:
             cfg = SolverBenchConfig(seed=args.seed, out=None, **overrides)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
             run_solver_bench(cfg, listener=recorder)
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -44,12 +44,7 @@ from .multiclass import MultiClassInstance, MultiClassPlan, solve_multiclass
 from .risk import RiskAverseSRRPPlan, solve_srrp_cvar
 from .sensitivity import DemandPriceReport, demand_shadow_prices
 from .lagrangian import LagrangianResult, lagrangian_bound
-from .demand_uncertainty import (
-    JointSRRPInstance,
-    JointSRRPPlan,
-    build_joint_tree,
-    solve_srrp_joint,
-)
+from .demand_uncertainty import JointSRRPInstance, build_joint_tree, solve_srrp_joint
 
 __all__ = [
     "CostSchedule",
@@ -107,7 +102,6 @@ __all__ = [
     "LagrangianResult",
     "lagrangian_bound",
     "JointSRRPInstance",
-    "JointSRRPPlan",
     "build_joint_tree",
     "solve_srrp_joint",
 ]

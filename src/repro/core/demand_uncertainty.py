@@ -10,7 +10,9 @@ and the deterministic equivalent becomes
     s.t. β_{π(v)} + α_v − β_v = d_v      (vertex-specific demand)
          α_v ≤ B·χ_v,  β_{π(root)} = ε,  α, β ≥ 0, χ ∈ {0,1}
 
-i.e. eq. (13)–(19) with D(τ(v)) replaced by a vertex realization d_v.
+i.e. eq. (13)–(19) with D(τ(v)) replaced by a vertex realization d_v,
+built by the same tree builder as :func:`~repro.core.srrp.build_srrp_model`
+and solved into the same :class:`~repro.core.srrp.SRRPPlan`.
 Non-anticipativity still comes free from the vertex indexing.
 
 When every vertex of a stage carries the same demand, the model collapses
@@ -20,15 +22,16 @@ generalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.solver import Model, SolverStatus, lin_sum, solve
+from repro.solver import solve
 from .costs import CostSchedule
 from .scenario import ScenarioNode, ScenarioTree
+from .srrp import SRRPPlan, _read_plan, _tree_model
 
-__all__ = ["JointSRRPInstance", "JointSRRPPlan", "build_joint_tree", "solve_srrp_joint"]
+__all__ = ["JointSRRPInstance", "build_joint_tree", "solve_srrp_joint"]
 
 
 def build_joint_tree(
@@ -112,6 +115,11 @@ class JointSRRPInstance:
     def horizon(self) -> int:
         return self.tree.horizon
 
+    @property
+    def forcing_bound(self) -> float:
+        """One B valid at every vertex: the largest scenario demand net of ε."""
+        return max(self.max_path_demand() - self.initial_storage, 1e-9)
+
     def max_path_demand(self) -> float:
         """Upper bound on total demand along any scenario (forcing bound)."""
         best = np.zeros(self.tree.num_nodes)
@@ -123,85 +131,18 @@ class JointSRRPInstance:
         return float(total)
 
 
-@dataclass
-class JointSRRPPlan:
-    """Solved joint-uncertainty policy (vertex-indexed recourse)."""
+def solve_srrp_joint(instance: JointSRRPInstance, backend: str = "auto") -> SRRPPlan:
+    """Solve the joint-uncertainty deterministic equivalent.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    chi: np.ndarray
-    expected_cost: float
-    status: SolverStatus
-    tree: ScenarioTree
-    vm_name: str = "vm"
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def first_alpha(self) -> float:
-        return float(self.alpha[0])
-
-    @property
-    def first_chi(self) -> bool:
-        return bool(self.chi[0] > 0.5)
-
-    def validate(self, instance: JointSRRPInstance, tol: float = 1e-6) -> None:
-        B = max(instance.max_path_demand() - instance.initial_storage, 1e-9)
-        for node in instance.tree.nodes:
-            prev = instance.initial_storage if node.parent < 0 else self.beta[node.parent]
-            lhs = prev + self.alpha[node.index] - self.beta[node.index]
-            if abs(lhs - instance.node_demand[node.index]) > tol:
-                raise AssertionError(f"balance violated at vertex {node.index}")
-            if self.alpha[node.index] > B * (self.chi[node.index] > 0.5) + tol:
-                raise AssertionError(f"forcing violated at vertex {node.index}")
-
-
-def solve_srrp_joint(instance: JointSRRPInstance, backend: str = "auto") -> JointSRRPPlan:
-    """Solve the joint-uncertainty deterministic equivalent."""
-    tree = instance.tree
-    c = instance.costs
-    m = Model(f"srrp-joint[{instance.vm_name}]")
-    n = tree.num_nodes
-    alpha = m.add_vars(n, "alpha")
-    beta = m.add_vars(n, "beta")
-    chi = m.add_vars(n, "chi", vtype="binary")
-    holding = c.holding
-    B = max(instance.max_path_demand() - instance.initial_storage, 1e-9)
-
-    for node in tree.nodes:
-        prev = instance.initial_storage if node.parent < 0 else beta[node.parent]
-        m.add_constr(
-            prev + alpha[node.index] - beta[node.index]
-            == float(instance.node_demand[node.index]),
-            name=f"balance[{node.index}]",
-        )
-        m.add_constr(alpha[node.index] <= B * chi[node.index], name=f"forcing[{node.index}]")
-
-    terms = []
-    const = 0.0
-    for node in tree.nodes:
-        t = node.depth
-        p = node.abs_prob
-        terms.append(
-            p
-            * (
-                float(c.transfer_in[t]) * instance.phi * alpha[node.index]
-                + float(holding[t]) * beta[node.index]
-                + node.price * chi[node.index]
-            )
-        )
-        const += p * float(c.transfer_out[t]) * float(instance.node_demand[node.index])
-    m.set_objective(lin_sum(terms) + const)
-
-    res = solve(m, backend=backend)
+    The model is the paper's SRRP tree model with vertex demands and one
+    forcing bound, :attr:`JointSRRPInstance.forcing_bound`, at every vertex.
+    """
+    model, vars_ = _tree_model(
+        instance,
+        f"srrp-joint[{instance.vm_name}]",
+        [instance.forcing_bound] * instance.tree.num_nodes,
+    )
+    res = solve(model, backend=backend)
     if not res.status.has_solution:
         raise RuntimeError(f"joint SRRP solve failed: {res.status.value}")
-    return JointSRRPPlan(
-        alpha=np.maximum(np.array([res.value_of(v) for v in alpha]), 0.0),
-        beta=np.maximum(np.array([res.value_of(v) for v in beta]), 0.0),
-        chi=np.round(np.array([res.value_of(v) for v in chi])),
-        expected_cost=res.objective,
-        status=res.status,
-        tree=tree,
-        vm_name=instance.vm_name,
-        extra={"nodes": res.nodes, "tree_size": n},
-    )
+    return _read_plan(res, vars_, instance)

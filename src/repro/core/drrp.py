@@ -25,10 +25,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.solver import Model, SolverStatus, lin_sum, solve
+from repro.solver import LinExpr, Model, SolverStatus, lin_sum, solve
 from .costs import CostSchedule
 
 __all__ = ["DRRPInstance", "RentalPlan", "build_drrp_model", "solve_drrp"]
+
+#: Stock at or below this is treated as used up by :func:`net_demand`.
+_NET_EPS = 1e-12
+
+
+def net_demand(demand: np.ndarray, initial_storage: float) -> np.ndarray:
+    """Per-slot demand left after ε is consumed greedily from the front.
+
+    This is the standard netting transformation: holding costs are
+    nonnegative, so consuming ε against the earliest demand is optimal, and
+    it leaves a zero-initial-inventory problem on the net demands.
+    """
+    net = np.asarray(demand, dtype=float).copy()
+    carry = initial_storage
+    for t in range(net.shape[0]):
+        if carry <= _NET_EPS:
+            break
+        used = min(carry, net[t])
+        net[t] -= used
+        carry -= used
+    return net
+
+
+def slot_forcing_bounds(demand: np.ndarray) -> np.ndarray:
+    """B_t of the forcing rows: the total demand from slot t on.
+
+    No optimal plan generates more in slot t than the demand still ahead of
+    it.  Far tighter than one global big-M (the LP relaxation's fractional
+    χ values scale as α/B, so a loose B makes branch-and-bound explore
+    thousands of nodes on 24 h instances).  Floored at 1e-9 so a zero-demand
+    tail keeps a well-formed row.
+    """
+    return np.maximum(np.cumsum(demand[::-1])[::-1], 1e-9)
 
 
 @dataclass(frozen=True)
@@ -93,6 +126,33 @@ class DRRPInstance:
         """Tightest valid B: no slot ever generates more than total unmet demand."""
         return float(max(self.demand.sum() - self.initial_storage, 0.0)) or 1.0
 
+    @property
+    def forcing_bounds(self) -> np.ndarray:
+        """Per-slot B_t of the forcing rows (see :func:`slot_forcing_bounds`)."""
+        return slot_forcing_bounds(self.demand)
+
+    @property
+    def net_demand(self) -> np.ndarray:
+        """Per-slot demand left once ε is consumed (see :func:`net_demand`)."""
+        return net_demand(self.demand, self.initial_storage)
+
+    def inventory(self, alpha) -> np.ndarray:
+        """β(α): the end-of-slot stock when ``alpha`` is generated, starting
+        from ε and never negative (the balance rows, eq. 2, with any surplus
+        generation carried forward)."""
+        beta = []
+        carry = self.initial_storage
+        for a, d in zip(np.asarray(alpha, dtype=float).tolist(), self.demand.tolist()):
+            carry = max(carry + a - d, 0.0)
+            beta.append(carry)
+        return np.array(beta, dtype=float)
+
+    @property
+    def eps_holding_cost(self) -> float:
+        """Holding cost of the ε stock alone, drawn down greedily: the
+        constant that reformulations over the netted demand add back."""
+        return float(self.costs.holding @ self.inventory(np.zeros(self.horizon)))
+
     @classmethod
     def example(cls, horizon: int = 24, seed: int = 7) -> "DRRPInstance":
         """The paper's §V-A setup for m1.large over a 24 h horizon."""
@@ -123,6 +183,39 @@ class RentalPlan:
     status: SolverStatus
     vm_name: str = "vm"
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def priced(
+        cls,
+        instance: DRRPInstance,
+        alpha: np.ndarray,
+        beta: np.ndarray,
+        chi: np.ndarray,
+        status: SolverStatus = SolverStatus.OPTIMAL,
+        objective: float | None = None,
+        extra: dict | None = None,
+    ) -> "RentalPlan":
+        """The plan (α, β, χ) with its four cost components priced on
+        ``instance``; ``objective`` defaults to their sum (a MILP passes the
+        solver's value instead)."""
+        c = instance.costs
+        compute = float(c.compute @ chi)
+        inventory = float(c.holding @ beta)
+        tin = float(c.transfer_in @ (instance.phi * alpha))
+        tout = float(c.transfer_out @ instance.demand)
+        return cls(
+            alpha=alpha,
+            beta=beta,
+            chi=chi,
+            compute_cost=compute,
+            inventory_cost=inventory,
+            transfer_in_cost=tin,
+            transfer_out_cost=tout,
+            objective=compute + inventory + tin + tout if objective is None else objective,
+            status=status,
+            vm_name=instance.vm_name,
+            extra={} if extra is None else extra,
+        )
 
     @property
     def total_cost(self) -> float:
@@ -163,42 +256,61 @@ class RentalPlan:
             prev = self.beta[t]
 
 
-def build_drrp_model(instance: DRRPInstance) -> tuple[Model, dict[str, list]]:
-    """Construct the DRRP MILP; returns the model and its variable handles."""
+def _drrp_rows(m: Model, instance: DRRPInstance, tag: str = "") -> tuple[dict[str, list], LinExpr]:
+    """Add one class's DRRP variables and rows (eqs. 2–4) to ``m``.
+
+    Names carry ``tag`` (``alpha{tag}[t]``, ``balance{tag}[t]``, ...), so
+    several classes can share one model.  Returns the variable handles and
+    the class's cost, objective (1) including its transfer-out constant.
+    """
     T = instance.horizon
     c = instance.costs
-    m = Model(f"drrp[{instance.vm_name}]")
-    alpha = m.add_vars(T, "alpha")
-    beta = m.add_vars(T, "beta")
-    chi = m.add_vars(T, "chi", vtype="binary")
-    # Per-slot forcing bound: no optimal plan generates more in slot t than
-    # the total demand still ahead of it.  Far tighter than one global big-M
-    # (the LP relaxation's fractional chi values scale as alpha/B, so a loose
-    # B makes branch-and-bound explore thousands of nodes on 24 h instances).
-    remaining = np.concatenate([np.cumsum(instance.demand[::-1])[::-1], [0.0]])
-
+    alpha = m.add_vars(T, f"alpha{tag}")
+    beta = m.add_vars(T, f"beta{tag}")
+    chi = m.add_vars(T, f"chi{tag}", vtype="binary")
+    demand = instance.demand.tolist()
+    bounds = instance.forcing_bounds.tolist()
+    rate = instance.bottleneck_rate
     for t in range(T):
         prev = beta[t - 1] if t > 0 else instance.initial_storage
-        m.add_constr(prev + alpha[t] - beta[t] == float(instance.demand[t]), name=f"balance[{t}]")
-        B_t = max(float(remaining[t]), 1e-9)
-        m.add_constr(alpha[t] <= B_t * chi[t], name=f"forcing[{t}]")
-        if instance.bottleneck_rate is not None:
+        m.add_constr(prev + alpha[t] - beta[t] == demand[t], name=f"balance{tag}[{t}]")
+        m.add_constr(alpha[t] <= bounds[t] * chi[t], name=f"forcing{tag}[{t}]")
+        if rate is not None:
             m.add_constr(
-                instance.bottleneck_rate * alpha[t] <= float(instance.bottleneck_capacity[t]),
-                name=f"bottleneck[{t}]",
+                rate * alpha[t] <= float(instance.bottleneck_capacity[t]),
+                name=f"bottleneck{tag}[{t}]",
             )
 
     holding = c.holding
-    m.set_objective(
-        lin_sum(
-            float(c.transfer_in[t]) * instance.phi * alpha[t]
-            + float(holding[t]) * beta[t]
-            + float(c.compute[t]) * chi[t]
-            for t in range(T)
-        )
-        + float(c.transfer_out @ instance.demand)
-    )
-    return m, {"alpha": alpha, "beta": beta, "chi": chi}
+    cost = lin_sum(
+        float(c.transfer_in[t]) * instance.phi * alpha[t]
+        + float(holding[t]) * beta[t]
+        + float(c.compute[t]) * chi[t]
+        for t in range(T)
+    ) + float(c.transfer_out @ instance.demand)
+    return {"alpha": alpha, "beta": beta, "chi": chi}, cost
+
+
+def build_drrp_model(instance: DRRPInstance) -> tuple[Model, dict[str, list]]:
+    """Construct the DRRP MILP; returns the model and its variable handles."""
+    m = Model(f"drrp[{instance.vm_name}]")
+    vars_, cost = _drrp_rows(m, instance)
+    m.set_objective(cost)
+    return m, vars_
+
+
+def read_decisions(res, vars_: dict[str, list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solved (α, β, χ) of a DRRP or SRRP model.
+
+    LP vertices can carry -1e-17 noise on nonnegative variables; α and β
+    are clamped so downstream consumers (e.g. chaining beta[-1] into the
+    next instance's initial storage) never see negative quantities, and χ
+    is rounded to its binary value.
+    """
+    alpha = np.maximum(np.array([res.value_of(v) for v in vars_["alpha"]]), 0.0)
+    beta = np.maximum(np.array([res.value_of(v) for v in vars_["beta"]]), 0.0)
+    chi = np.round(np.array([res.value_of(v) for v in vars_["chi"]]))
+    return alpha, beta, chi
 
 
 def solve_drrp(
@@ -275,24 +387,14 @@ def solve_drrp(
 
             return time_limit_fallback(solve_wagner_whitin(instance), "wagner-whitin")
         raise RuntimeError(f"DRRP solve failed with status {res.status.value}")
-    # LP vertices can carry -1e-17 noise on nonnegative variables; clamp so
-    # downstream consumers (e.g. chaining beta[-1] into the next instance's
-    # initial storage) never see negative quantities.
-    alpha = np.maximum(np.array([res.value_of(v) for v in vars_["alpha"]]), 0.0)
-    beta = np.maximum(np.array([res.value_of(v) for v in vars_["beta"]]), 0.0)
-    chi = np.round(np.array([res.value_of(v) for v in vars_["chi"]]))
-    c = instance.costs
-    return RentalPlan(
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        compute_cost=float(c.compute @ chi),
-        inventory_cost=float(c.holding @ beta),
-        transfer_in_cost=float(c.transfer_in @ (instance.phi * alpha)),
-        transfer_out_cost=float(c.transfer_out @ instance.demand),
-        objective=res.objective,
+    alpha, beta, chi = read_decisions(res, vars_)
+    return RentalPlan.priced(
+        instance,
+        alpha,
+        beta,
+        chi,
         status=res.status,
-        vm_name=instance.vm_name,
+        objective=res.objective,
         extra={
             "nodes": res.nodes,
             "iterations": res.iterations,

@@ -10,11 +10,14 @@ trivially solvable pieces:
   forward pass computes in O(T) (running minimum of source costs).
 
 ``L(μ)`` lower-bounds the DRRP optimum for every μ ≥ 0; projected
-subgradient ascent tightens it.  Because *both* subproblems have the
-integrality property, the best Lagrangian bound provably equals the
-natural formulation's LP-relaxation bound — strictly weaker than the
-facility-location relaxation (which is integral).  The bound-comparison
-benchmark documents exactly that hierarchy:
+subgradient ascent tightens it.  The B_t dualized here are
+:attr:`DRRPInstance.forcing_bounds`, the same bounds
+:func:`~repro.core.drrp.build_drrp_model` writes into its forcing rows.
+Because *both* subproblems have the integrality property, the best
+Lagrangian bound therefore equals the natural formulation's LP-relaxation
+bound — strictly weaker than the facility-location relaxation (which is
+integral).  The bound-comparison benchmark documents exactly that
+hierarchy:
 
     LP(natural) == max_mu L(mu)  <=  LP(facility-location) == OPT
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drrp import DRRPInstance
+from .drrp import DRRPInstance, RentalPlan
 
 __all__ = ["LagrangianResult", "lagrangian_bound"]
 
@@ -56,41 +59,12 @@ class LagrangianResult:
         return (self.heuristic_cost - self.best_bound) / self.best_bound
 
 
-def _forcing_bounds(instance: DRRPInstance) -> np.ndarray:
-    remaining = np.concatenate([np.cumsum(instance.demand[::-1])[::-1], [0.0]])[:-1]
-    return np.maximum(remaining, 1e-9)
-
-
-def _netted_demand(instance: DRRPInstance) -> np.ndarray:
-    demand = instance.demand.astype(float).copy()
-    carry = instance.initial_storage
-    for t in range(demand.shape[0]):
-        if carry <= 1e-15:
-            break
-        used = min(carry, demand[t])
-        demand[t] -= used
-        carry -= used
-    return demand
-
-
-def _eps_holding_constant(instance: DRRPInstance) -> float:
-    holding = instance.costs.holding
-    carry = instance.initial_storage
-    total = 0.0
-    for t in range(instance.horizon):
-        carry = max(carry - instance.demand[t], 0.0)
-        total += holding[t] * carry
-        if carry <= 0:
-            break
-    return float(total)
-
-
 def _evaluate(instance: DRRPInstance, mu: np.ndarray):
     """Solve both subproblems at μ; returns (L(μ), subgradient, χ(μ))."""
     c = instance.costs
     T = instance.horizon
-    demand = _netted_demand(instance)
-    B = _forcing_bounds(instance)
+    demand = instance.net_demand
+    B = instance.forcing_bounds
     holding = c.holding
     hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
 
@@ -118,7 +92,7 @@ def _evaluate(instance: DRRPInstance, mu: np.ndarray):
     alpha = np.zeros(T)
     np.add.at(alpha, best_src, demand)
 
-    const = float(c.transfer_out @ instance.demand) + _eps_holding_constant(instance)
+    const = float(c.transfer_out @ instance.demand) + instance.eps_holding_cost
     value = rental_value + flow_value + const
     subgradient = alpha - B * chi
     return value, subgradient, chi, alpha
@@ -126,20 +100,8 @@ def _evaluate(instance: DRRPInstance, mu: np.ndarray):
 
 def _heuristic_cost(instance: DRRPInstance, alpha: np.ndarray) -> float:
     """Cost of the feasible plan implied by a generation vector."""
-    c = instance.costs
-    T = instance.horizon
     chi = (alpha > 1e-12).astype(float)
-    beta = np.zeros(T)
-    carry = instance.initial_storage
-    for t in range(T):
-        carry = max(carry + alpha[t] - instance.demand[t], 0.0)
-        beta[t] = carry
-    return float(
-        c.compute @ chi
-        + c.holding @ beta
-        + c.transfer_in @ (instance.phi * alpha)
-        + c.transfer_out @ instance.demand
-    )
+    return RentalPlan.priced(instance, alpha, instance.inventory(alpha), chi).objective
 
 
 def lagrangian_bound(
@@ -169,7 +131,7 @@ def lagrangian_bound(
 
     # the heuristic plan gives a valid upper bound for Polyak steps, and
     # tightens as the ascent proceeds
-    ub = _heuristic_cost(instance, _netted_demand(instance))
+    ub = _heuristic_cost(instance, instance.net_demand)
     scale = initial_step
     stall = 0
 

@@ -16,10 +16,11 @@ descendant.  Demand depends only on the stage, so that stock always covers
 a contiguous run of stages and the tree DP costs O(n·T) over n vertices.
 
 Initial inventory ε is handled by the standard netting transformation
-(:func:`_net_demand`): greedy consumption of ε against the earliest demand
-is optimal (holding costs are nonnegative), splits total inventory into a
-constant ε part and the produced part, and leaves a zero-initial-inventory
-problem on the *net* demands — over which production may still occur in
+(:func:`repro.core.drrp.net_demand`, which :attr:`DRRPInstance.net_demand`
+applies): greedy consumption of ε against the earliest demand is optimal
+(holding costs are nonnegative), splits total inventory into a constant ε
+part and the produced part, and leaves a zero-initial-inventory problem on
+the *net* demands — over which production may still occur in
 **any** slot, including slots whose own net demand is zero (producing early
 at a cheap setup can beat producing at the first uncovered slot; the MILP
 cross-check property test pins this case down).
@@ -38,25 +39,12 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.solver import Deadline, SolverStatus, Telemetry
-from .drrp import DRRPInstance, RentalPlan
+from .drrp import DRRPInstance, RentalPlan, net_demand
 from .srrp import SRRPInstance, SRRPPlan
 
 __all__ = ["solve_wagner_whitin", "solve_srrp_tree_dp", "run_exact_dp", "time_limit_fallback"]
 
 _EPS = 1e-12
-
-
-def _net_demand(demand: np.ndarray, initial_storage: float) -> np.ndarray:
-    """Per-slot demand left after ε is consumed greedily from the front."""
-    net = np.asarray(demand, dtype=float).copy()
-    carry = initial_storage
-    for t in range(net.shape[0]):
-        if carry <= _EPS:
-            break
-        used = min(carry, net[t])
-        net[t] -= used
-        carry -= used
-    return net
 
 
 def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
@@ -78,7 +66,7 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
     unit_gen = c.transfer_in * phi
     setup = c.compute
 
-    demand = _net_demand(instance.demand, instance.initial_storage)
+    demand = instance.net_demand
     cum = np.concatenate([[0.0], np.cumsum(demand)])
     hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
 
@@ -125,27 +113,8 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
 
     # Rebuild the full inventory trajectory against the ORIGINAL demands
     # (this re-absorbs the ε part and its holding cost).
-    beta = np.zeros(T)
-    carry = instance.initial_storage
-    for t in range(T):
-        carry = max(carry + alpha[t] - instance.demand[t], 0.0)
-        beta[t] = carry
-    compute = float(setup @ chi)
-    inventory = float(holding @ beta)
-    tin = float(c.transfer_in @ (phi * alpha))
-    tout = float(c.transfer_out @ instance.demand)
-    return RentalPlan(
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        compute_cost=compute,
-        inventory_cost=inventory,
-        transfer_in_cost=tin,
-        transfer_out_cost=tout,
-        objective=compute + inventory + tin + tout,
-        status=SolverStatus.OPTIMAL,
-        vm_name=instance.vm_name,
-        extra={"scheme": "wagner-whitin"},
+    return RentalPlan.priced(
+        instance, alpha, instance.inventory(alpha), chi, extra={"scheme": "wagner-whitin"}
     )
 
 
@@ -174,7 +143,7 @@ def solve_srrp_tree_dp(instance: SRRPInstance) -> SRRPPlan:
     T = instance.horizon
     c = instance.costs
     cum = [0.0]
-    for d in _net_demand(instance.demand, instance.initial_storage).tolist():
+    for d in net_demand(instance.demand, instance.initial_storage).tolist():
         cum.append(cum[-1] + d)
     unit = (c.transfer_in * instance.phi).tolist()
     holding = c.holding.tolist()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.solver import Model, SolverStatus, lin_sum, solve
-from .drrp import DRRPInstance, RentalPlan, solve_drrp
+from .drrp import DRRPInstance, RentalPlan, _drrp_rows, read_decisions, solve_drrp
 
 __all__ = ["MultiClassInstance", "MultiClassPlan", "solve_multiclass"]
 
@@ -84,22 +84,6 @@ class MultiClassPlan:
         return float(stacked.max()) if stacked.size else 0.0
 
 
-def _extract_plan(inst: DRRPInstance, alpha, beta, chi) -> RentalPlan:
-    c = inst.costs
-    compute = float(c.compute @ chi)
-    inventory = float(c.holding @ beta)
-    tin = float(c.transfer_in @ (inst.phi * alpha))
-    tout = float(c.transfer_out @ inst.demand)
-    return RentalPlan(
-        alpha=alpha, beta=beta, chi=chi,
-        compute_cost=compute, inventory_cost=inventory,
-        transfer_in_cost=tin, transfer_out_cost=tout,
-        objective=compute + inventory + tin + tout,
-        status=SolverStatus.OPTIMAL,
-        vm_name=inst.vm_name,
-    )
-
-
 def solve_multiclass(
     problem: MultiClassInstance,
     backend: str = "auto",
@@ -124,64 +108,38 @@ def solve_multiclass(
     T = problem.horizon
     m = Model("multiclass-drrp")
     per_class = []
-    objective_terms = []
-    constant = 0.0
+    costs = []
     for inst in problem.instances:
-        c = inst.costs
-        alpha = m.add_vars(T, f"alpha[{inst.vm_name}]")
-        beta = m.add_vars(T, f"beta[{inst.vm_name}]")
-        chi = m.add_vars(T, f"chi[{inst.vm_name}]", vtype="binary")
-        remaining = np.concatenate([np.cumsum(inst.demand[::-1])[::-1], [0.0]])
-        for t in range(T):
-            prev = beta[t - 1] if t > 0 else inst.initial_storage
-            m.add_constr(prev + alpha[t] - beta[t] == float(inst.demand[t]))
-            m.add_constr(alpha[t] <= max(float(remaining[t]), 1e-9) * chi[t])
-            if inst.bottleneck_rate is not None:
-                m.add_constr(
-                    inst.bottleneck_rate * alpha[t] <= float(inst.bottleneck_capacity[t])
-                )
-        holding = c.holding
-        objective_terms.append(
-            lin_sum(
-                float(c.transfer_in[t]) * inst.phi * alpha[t]
-                + float(holding[t]) * beta[t]
-                + float(c.compute[t]) * chi[t]
-                for t in range(T)
-            )
-        )
-        constant += float(c.transfer_out @ inst.demand)
-        per_class.append((inst, alpha, beta, chi))
+        vars_, cost = _drrp_rows(m, inst, tag=f"[{inst.vm_name}]")
+        per_class.append((inst, vars_))
+        costs.append(cost)
 
     for t in range(T):
         if problem.storage_budget is not None:
             m.add_constr(
-                lin_sum(beta[t] for (_i, _a, beta, _c) in per_class)
+                lin_sum(vars_["beta"][t] for _inst, vars_ in per_class)
                 <= problem.storage_budget,
                 name=f"storage_budget[{t}]",
             )
         if problem.rental_budget is not None:
             m.add_constr(
                 lin_sum(
-                    float(inst.costs.compute[t]) * chi[t]
-                    for (inst, _a, _b, chi) in per_class
+                    float(inst.costs.compute[t]) * vars_["chi"][t]
+                    for inst, vars_ in per_class
                 )
                 <= problem.rental_budget,
                 name=f"rental_budget[{t}]",
             )
 
-    m.set_objective(lin_sum(objective_terms) + constant)
+    m.set_objective(lin_sum(costs))
     res = solve(m, backend=backend)
     if not res.status.has_solution:
         raise RuntimeError(f"multiclass solve failed: {res.status.value}")
 
-    plans = {}
-    for inst, alpha, beta, chi in per_class:
-        plans[inst.vm_name] = _extract_plan(
-            inst,
-            np.array([res.value_of(v) for v in alpha]),
-            np.array([res.value_of(v) for v in beta]),
-            np.round(np.array([res.value_of(v) for v in chi])),
-        )
+    plans = {
+        inst.vm_name: RentalPlan.priced(inst, *read_decisions(res, vars_))
+        for inst, vars_ in per_class
+    }
     return MultiClassPlan(
         plans=plans,
         total_cost=res.objective,

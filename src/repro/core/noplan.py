@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solver import SolverStatus
 from .drrp import DRRPInstance, RentalPlan
 
 __all__ = ["solve_noplan"]
@@ -21,38 +20,11 @@ def solve_noplan(instance: DRRPInstance) -> RentalPlan:
     """Evaluate the no-planning scheme on a DRRP instance.
 
     Initial storage (ε) is drawn down greedily before any generation, so the
-    baseline is not charged for demand the inventory already covers.
+    baseline is not charged for demand the inventory already covers: each
+    slot generates its ε-netted demand, and only ε is ever held.
     """
-    T = instance.horizon
-    demand = instance.demand
-    alpha = np.zeros(T)
-    beta = np.zeros(T)
-    chi = np.zeros(T)
-    carry = instance.initial_storage
-    for t in range(T):
-        need = demand[t]
-        used = min(carry, need)
-        carry -= used
-        need -= used
-        beta[t] = carry
-        if need > 1e-12:
-            alpha[t] = need
-            chi[t] = 1.0
-    c = instance.costs
-    compute = float(c.compute @ chi)
-    inventory = float(c.holding @ beta)
-    tin = float(c.transfer_in @ (instance.phi * alpha))
-    tout = float(c.transfer_out @ demand)
-    return RentalPlan(
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        compute_cost=compute,
-        inventory_cost=inventory,
-        transfer_in_cost=tin,
-        transfer_out_cost=tout,
-        objective=compute + inventory + tin + tout,
-        status=SolverStatus.OPTIMAL,
-        vm_name=instance.vm_name,
-        extra={"scheme": "no-plan"},
-    )
+    need = instance.net_demand
+    chi = (need > 1e-12).astype(float)
+    alpha = np.where(chi > 0, need, 0.0)
+    beta = instance.inventory(np.zeros(instance.horizon))
+    return RentalPlan.priced(instance, alpha, beta, chi, extra={"scheme": "no-plan"})

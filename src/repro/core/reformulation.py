@@ -28,23 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solver import Model, SolverStatus, lin_sum, solve
+from repro.solver import Model, lin_sum, solve
 from .drrp import DRRPInstance, RentalPlan
 
 __all__ = ["build_facility_location_model", "solve_drrp_facility_location"]
-
-
-def _netted_demand(instance: DRRPInstance) -> np.ndarray:
-    """Demands after greedy consumption of the initial inventory ε."""
-    demand = instance.demand.astype(float).copy()
-    carry = instance.initial_storage
-    for t in range(demand.shape[0]):
-        if carry <= 1e-15:
-            break
-        used = min(carry, demand[t])
-        demand[t] -= used
-        carry -= used
-    return demand
 
 
 def build_facility_location_model(instance: DRRPInstance):
@@ -62,7 +49,7 @@ def build_facility_location_model(instance: DRRPInstance):
         raise ValueError("facility-location reformulation is for uncapacitated DRRP")
     T = instance.horizon
     c = instance.costs
-    demand = _netted_demand(instance)
+    demand = instance.net_demand
     holding = c.holding
     hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
     unit_gen = c.transfer_in * instance.phi
@@ -90,14 +77,7 @@ def build_facility_location_model(instance: DRRPInstance):
         for (t, u), var in x.items()
     )
     # constant terms: transfer-out on the raw demand, holding on the ε part
-    eps_beta_cost = 0.0
-    carry = instance.initial_storage
-    for t in range(T):
-        carry = max(carry - instance.demand[t], 0.0)
-        eps_beta_cost += holding[t] * carry
-        if carry <= 0:
-            break
-    objective = objective + float(c.transfer_out @ instance.demand) + eps_beta_cost
+    objective = objective + float(c.transfer_out @ instance.demand) + instance.eps_holding_cost
     m.set_objective(objective)
     return m, x, chi
 
@@ -121,26 +101,11 @@ def solve_drrp_facility_location(instance: DRRPInstance, backend: str = "auto") 
     for t in range(T):
         if alpha[t] <= 1e-9 and chi[t] > 0.5:
             chi[t] = 0.0
-    beta = np.zeros(T)
-    carry = instance.initial_storage
-    for t in range(T):
-        carry = max(carry + alpha[t] - instance.demand[t], 0.0)
-        beta[t] = carry
-    c = instance.costs
-    compute = float(c.compute @ chi)
-    inventory = float(c.holding @ beta)
-    tin = float(c.transfer_in @ (instance.phi * alpha))
-    tout = float(c.transfer_out @ instance.demand)
-    return RentalPlan(
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        compute_cost=compute,
-        inventory_cost=inventory,
-        transfer_in_cost=tin,
-        transfer_out_cost=tout,
-        objective=compute + inventory + tin + tout,
+    return RentalPlan.priced(
+        instance,
+        alpha,
+        instance.inventory(alpha),
+        chi,
         status=res.status,
-        vm_name=instance.vm_name,
         extra={"scheme": "facility-location", "nodes": res.nodes, "iterations": res.iterations},
     )

@@ -10,7 +10,8 @@ Rockafellar–Uryasev linearization of Conditional Value-at-Risk:
 where ``cost_s`` is the (linear) cost along scenario s's root-leaf path.
 λ = 0 recovers the paper's SRRP exactly (property-tested); λ = 1 optimizes
 pure CVaR.  Because scenario costs are linear in the tree-indexed recourse
-variables, the extension stays a MILP of the same class.
+variables, the extension stays a MILP of the same class: the η, z and
+CVaR rows are added on top of :func:`~repro.core.srrp.build_srrp_model`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.solver import Model, SolverStatus, lin_sum, solve
-from .srrp import SRRPInstance
+from repro.solver import SolverStatus, lin_sum, solve
+from .drrp import read_decisions
+from .srrp import SRRPInstance, build_srrp_model
 
 __all__ = ["RiskAverseSRRPPlan", "solve_srrp_cvar"]
 
@@ -83,66 +85,42 @@ def solve_srrp_cvar(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
 
+    model, vars_ = build_srrp_model(instance)
     tree = instance.tree
-    c = instance.costs
-    m = Model(f"srrp-cvar[{instance.vm_name}]")
-    n = tree.num_nodes
-    alpha = m.add_vars(n, "alpha")
-    beta = m.add_vars(n, "beta")
-    chi = m.add_vars(n, "chi", vtype="binary")
-    remaining = np.concatenate([np.cumsum(instance.demand[::-1])[::-1], [0.0]])
-    holding = c.holding
-
-    for node in tree.nodes:
-        t = node.depth
-        prev = instance.initial_storage if node.parent < 0 else beta[node.parent]
-        m.add_constr(prev + alpha[node.index] - beta[node.index] == float(instance.demand[t]))
-        m.add_constr(alpha[node.index] <= max(float(remaining[t]), 1e-9) * chi[node.index])
-
-    def node_cost(node):
-        t = node.depth
-        return (
-            float(c.transfer_in[t]) * instance.phi * alpha[node.index]
-            + float(holding[t]) * beta[node.index]
-            + node.price * chi[node.index]
-        )
-
-    const_per_slot = float(c.transfer_out @ instance.demand)
+    tout = instance.costs.transfer_out
+    demand = instance.node_demand
     leaves = tree.leaves()
     probs = np.array([leaf.abs_prob for leaf in leaves])
 
-    # per-scenario linear cost expressions
+    # per-scenario linear cost expressions: the vertex costs along the path
+    # plus that path's transfer-out
     scenario_exprs = []
     for leaf in leaves:
         path = tree.path(leaf.index)
-        scenario_exprs.append(lin_sum(node_cost(nd) for nd in path) + const_per_slot)
+        scenario_exprs.append(
+            lin_sum(vars_["cost"][nd.index] for nd in path)
+            + float(sum(tout[nd.depth] * demand[nd.index] for nd in path))
+        )
 
-    expected = lin_sum(p * e for p, e in zip(probs, scenario_exprs))
-
-    eta = m.add_var("eta", lb=-1e6)
-    z = m.add_vars(len(leaves), "z")
+    eta = model.add_var("eta", lb=-1e6)
+    z = model.add_vars(len(leaves), "z")
     for s, expr in enumerate(scenario_exprs):
-        m.add_constr(z[s] >= expr - eta, name=f"cvar[{s}]")
+        model.add_constr(z[s] >= expr - eta, name=f"cvar[{s}]")
     cvar_expr = eta + (1.0 / (1.0 - confidence)) * lin_sum(
         float(p) * z[s] for s, p in enumerate(probs)
     )
 
-    m.set_objective((1.0 - risk_weight) * expected + risk_weight * cvar_expr)
-    res = solve(m, backend=backend)
+    # build_srrp_model's objective is the expected cost (13)
+    model.set_objective((1.0 - risk_weight) * model.objective + risk_weight * cvar_expr)
+    res = solve(model, backend=backend)
     if not res.status.has_solution:
         raise RuntimeError(f"mean-CVaR solve failed: {res.status.value}")
 
-    alpha_v = np.array([res.value_of(v) for v in alpha])
-    beta_v = np.array([res.value_of(v) for v in beta])
-    chi_v = np.round(np.array([res.value_of(v) for v in chi]))
-    costs = np.array(
-        [
-            expr.value({**{v: res.value_of(v) for v in alpha},
-                        **{v: res.value_of(v) for v in beta},
-                        **{v: res.value_of(v) for v in chi}})
-            for expr in scenario_exprs
-        ]
-    )
+    alpha_v, beta_v, chi_v = read_decisions(res, vars_)
+    values = dict(zip(vars_["alpha"], alpha_v))
+    values.update(zip(vars_["beta"], beta_v))
+    values.update(zip(vars_["chi"], chi_v))
+    costs = np.array([expr.value(values) for expr in scenario_exprs])
     exp_cost = float(probs @ costs)
     eta_v = res.value_of(eta)
     cvar_v = eta_v + float(probs @ np.maximum(costs - eta_v, 0.0)) / (1.0 - confidence)

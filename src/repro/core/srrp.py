@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.solver import Model, SolverStatus, lin_sum, solve
 from .costs import CostSchedule
+from .drrp import read_decisions, slot_forcing_bounds
 from .scenario import ScenarioTree
 
 __all__ = [
@@ -71,7 +72,13 @@ class SRRPInstance:
 
     @property
     def forcing_bound(self) -> float:
+        """One B valid at every vertex: total demand net of ε."""
         return float(max(self.demand.sum() - self.initial_storage, 0.0)) or 1.0
+
+    @property
+    def node_demand(self) -> np.ndarray:
+        """D(τ(v)) per vertex: the demand of the vertex's stage."""
+        return self.demand[[node.depth for node in self.tree.nodes]]
 
 
 @dataclass
@@ -120,11 +127,17 @@ class SRRPPlan:
     def validate(self, instance: SRRPInstance, tol: float = 1e-6) -> None:
         """Check every SRRP constraint of the policy (test helper).
 
+        ``instance`` is an :class:`SRRPInstance` or any tree instance with
+        the same ``tree``, ``initial_storage``, ``node_demand`` and
+        ``forcing_bound`` (e.g. a
+        :class:`~repro.core.demand_uncertainty.JointSRRPInstance`).
+
         Raises :class:`AssertionError` with the violating vertex and the
         magnitude of the violation: inventory balance (14), the forcing
         bound (16), nonnegativity (18) and the binary rental marker (19).
         """
         n = instance.tree.num_nodes
+        demand = instance.node_demand
         for name, arr in (("alpha", self.alpha), ("beta", self.beta), ("chi", self.chi)):
             if np.asarray(arr).shape != (n,):
                 raise AssertionError(
@@ -140,10 +153,8 @@ class SRRPPlan:
                 raise AssertionError(f"chi[{v}]={self.chi[v]:.6g} is not binary")
             prev = instance.initial_storage if node.parent < 0 else self.beta[node.parent]
             lhs = prev + self.alpha[v] - self.beta[v]
-            if abs(lhs - instance.demand[node.depth]) > tol:
-                raise AssertionError(
-                    f"balance violated at vertex {v}: residual {lhs - instance.demand[node.depth]:.6g}"
-                )
+            if abs(lhs - demand[v]) > tol:
+                raise AssertionError(f"balance violated at vertex {v}: residual {lhs - demand[v]:.6g}")
             cap = instance.forcing_bound * (self.chi[v] > 0.5)
             if self.alpha[v] > cap + tol:
                 raise AssertionError(
@@ -190,46 +201,75 @@ def validate_nonanticipativity(
                     seen[key] = (leaf_index, value)
 
 
-def build_srrp_model(instance: SRRPInstance) -> tuple[Model, dict[str, list]]:
-    """Construct the deterministic-equivalent MILP over the scenario tree."""
+def _tree_model(instance, name: str, bounds: list[float]) -> tuple[Model, dict[str, list]]:
+    """The deterministic-equivalent MILP (13)–(19) over ``instance.tree``.
+
+    Vertex v balances against ``instance.node_demand[v]`` and generates at
+    most ``bounds[v]`` when rented.  Returns the model and its handles:
+    ``alpha``/``beta``/``chi`` per vertex, plus ``cost``, each vertex's
+    unweighted generation, holding and rental cost (the bracket of (13)
+    without its transfer-out constant).
+    """
     tree = instance.tree
     c = instance.costs
-    m = Model(f"srrp[{instance.vm_name}]")
+    m = Model(name)
     n = tree.num_nodes
     alpha = m.add_vars(n, "alpha")
     beta = m.add_vars(n, "beta")
     chi = m.add_vars(n, "chi", vtype="binary")
     holding = c.holding
-    # Per-stage forcing bound (see build_drrp_model): generation at a vertex
-    # never usefully exceeds the demand still ahead of its stage.
-    remaining = np.concatenate([np.cumsum(instance.demand[::-1])[::-1], [0.0]])
-
-    for node in tree.nodes:
-        t = node.depth
-        prev = instance.initial_storage if node.parent < 0 else beta[node.parent]
-        m.add_constr(
-            prev + alpha[node.index] - beta[node.index] == float(instance.demand[t]),
-            name=f"balance[{node.index}]",
-        )
-        B_t = max(float(remaining[t]), 1e-9)
-        m.add_constr(alpha[node.index] <= B_t * chi[node.index], name=f"forcing[{node.index}]")
+    demand = instance.node_demand.tolist()
 
     const_term = 0.0
+    cost = []
     terms = []
     for node in tree.nodes:
-        t = node.depth
-        p = node.abs_prob
-        terms.append(
-            p
-            * (
-                float(c.transfer_in[t]) * instance.phi * alpha[node.index]
-                + float(holding[t]) * beta[node.index]
-                + node.price * chi[node.index]
-            )
+        v, t, p = node.index, node.depth, node.abs_prob
+        prev = instance.initial_storage if node.parent < 0 else beta[node.parent]
+        m.add_constr(prev + alpha[v] - beta[v] == demand[v], name=f"balance[{v}]")
+        m.add_constr(alpha[v] <= bounds[v] * chi[v], name=f"forcing[{v}]")
+        cost.append(
+            float(c.transfer_in[t]) * instance.phi * alpha[v]
+            + float(holding[t]) * beta[v]
+            + node.price * chi[v]
         )
-        const_term += p * float(c.transfer_out[t]) * float(instance.demand[t])
+        terms.append(p * cost[-1])
+        const_term += p * float(c.transfer_out[t]) * demand[v]
     m.set_objective(lin_sum(terms) + const_term)
-    return m, {"alpha": alpha, "beta": beta, "chi": chi}
+    return m, {"alpha": alpha, "beta": beta, "chi": chi, "cost": cost}
+
+
+def build_srrp_model(instance: SRRPInstance) -> tuple[Model, dict[str, list]]:
+    """Construct the deterministic-equivalent MILP over the scenario tree.
+
+    Each vertex's forcing bound is its stage's DRRP bound
+    (:func:`~repro.core.drrp.slot_forcing_bounds`): generation never
+    usefully exceeds the demand still ahead of the stage.
+    """
+    stage = slot_forcing_bounds(instance.demand).tolist()
+    bounds = [stage[node.depth] for node in instance.tree.nodes]
+    return _tree_model(instance, f"srrp[{instance.vm_name}]", bounds)
+
+
+def _read_plan(res, vars_: dict[str, list], instance) -> SRRPPlan:
+    """The solved tree model as an :class:`SRRPPlan`; ``expected_cost`` is
+    the solver's objective."""
+    alpha, beta, chi = read_decisions(res, vars_)
+    return SRRPPlan(
+        alpha=alpha,
+        beta=beta,
+        chi=chi,
+        expected_cost=res.objective,
+        status=res.status,
+        tree=instance.tree,
+        vm_name=instance.vm_name,
+        extra={
+            "nodes": res.nodes,
+            "iterations": res.iterations,
+            "tree_size": instance.tree.num_nodes,
+            "wall_time": res.extra.get("wall_time"),
+        },
+    )
 
 
 def solve_srrp(instance: SRRPInstance, backend: str = "auto", **solve_kwargs) -> SRRPPlan:
@@ -284,21 +324,4 @@ def solve_srrp(instance: SRRPInstance, backend: str = "auto", **solve_kwargs) ->
         if res.status is SolverStatus.TIME_LIMIT:
             return time_limit_fallback(solve_srrp_tree_dp(instance), "tree-dp")
         raise RuntimeError(f"SRRP solve failed with status {res.status.value}")
-    alpha = np.maximum(np.array([res.value_of(v) for v in vars_["alpha"]]), 0.0)
-    beta = np.maximum(np.array([res.value_of(v) for v in vars_["beta"]]), 0.0)
-    chi = np.round(np.array([res.value_of(v) for v in vars_["chi"]]))
-    return SRRPPlan(
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        expected_cost=res.objective,
-        status=res.status,
-        tree=instance.tree,
-        vm_name=instance.vm_name,
-        extra={
-            "nodes": res.nodes,
-            "iterations": res.iterations,
-            "tree_size": instance.tree.num_nodes,
-            "wall_time": res.extra.get("wall_time"),
-        },
-    )
+    return _read_plan(res, vars_, instance)

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DRRPInstance, NormalDemand, on_demand_schedule, solve_drrp, solve_wagner_whitin
+from repro.core import (
+    DRRPInstance,
+    MultiClassInstance,
+    NormalDemand,
+    on_demand_schedule,
+    solve_drrp,
+    solve_multiclass,
+    solve_noplan,
+    solve_wagner_whitin,
+)
 from repro.core.costs import CostSchedule
 from repro.core.reformulation import build_facility_location_model, solve_drrp_facility_location
 from repro.market import ec2_catalog
@@ -21,6 +30,39 @@ def make_instance(seed=0, horizon=12, vm="m1.large", eps=0.0):
         initial_storage=eps,
         vm_name=vm,
     )
+
+
+def _joint_multiclass():
+    insts = tuple(
+        DRRPInstance(
+            demand=NormalDemand().sample(8, 6 + i),
+            costs=on_demand_schedule(ec2_catalog()[vm], 8),
+            initial_storage=0.8,
+            vm_name=vm,
+        )
+        for i, vm in enumerate(("c1.medium", "m1.large"))
+    )
+    joint = solve_multiclass(MultiClassInstance(insts, storage_budget=1e6))
+    assert joint.extra["path"] == "joint"
+    return [(inst, joint.plans[inst.vm_name]) for inst in insts]
+
+
+def _on_instance(solve):
+    def produce():
+        inst = make_instance(6, eps=0.8)
+        return [(inst, solve(inst))]
+    return produce
+
+
+#: Each RentalPlan producer, as (instance, plan) pairs on seeded instances
+#: with initial storage.
+PRODUCERS = {
+    "wagner-whitin": _on_instance(solve_wagner_whitin),
+    "no-plan": _on_instance(solve_noplan),
+    "milp": _on_instance(lambda inst: solve_drrp(inst, backend="scipy")),
+    "multiclass-joint": _joint_multiclass,
+    "facility-location": _on_instance(solve_drrp_facility_location),
+}
 
 
 class TestAgreement:
@@ -42,14 +84,24 @@ class TestAgreement:
         plan = solve_drrp_facility_location(inst)
         plan.validate(inst)
 
-    def test_decomposition_sums(self):
-        inst = make_instance(6)
-        plan = solve_drrp_facility_location(inst)
-        parts = (
-            plan.compute_cost + plan.inventory_cost
-            + plan.transfer_in_cost + plan.transfer_out_cost
-        )
-        assert parts == pytest.approx(plan.objective, abs=1e-6)
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    def test_decomposition_sums(self, producer):
+        """Every RentalPlan producer: the objective is the sum of the four
+        components, and each component reprices from the plan's (α, β, χ)."""
+        for inst, plan in PRODUCERS[producer]():
+            c = inst.costs
+            parts = (
+                plan.compute_cost, plan.inventory_cost,
+                plan.transfer_in_cost, plan.transfer_out_cost,
+            )
+            assert sum(parts) == pytest.approx(plan.objective, abs=1e-6)
+            repriced = (
+                float(np.dot(c.compute, plan.chi)),
+                float(np.dot(c.storage + c.io, plan.beta)),
+                float(np.dot(c.transfer_in, inst.phi * plan.alpha)),
+                float(np.dot(c.transfer_out, inst.demand)),
+            )
+            assert parts == pytest.approx(repriced, abs=1e-9)
 
     def test_rejects_capacitated(self):
         vm = ec2_catalog()["c1.medium"]

@@ -282,6 +282,11 @@ class TestRunDrrpObservability:
         out = capsys.readouterr().out
         assert "solve[auto]" in out and "(100.0%)" in out
 
+    def test_profile_bench_solver_rejects_a_bad_config_as_usage(self, capsys):
+        # the same usage error `repro bench solver --set scenarios=3` exits 2 on
+        assert main(["profile", "bench-solver", "--scenarios", "3"]) == 2
+        assert "needs >= 8 scenarios" in capsys.readouterr().err
+
 
 class TestFuzzObservability:
     def test_manifest_flag(self, tmp_path, capsys):
