@@ -136,6 +136,28 @@ class DRRPInstance:
         """Per-slot demand left once ε is consumed (see :func:`net_demand`)."""
         return net_demand(self.demand, self.initial_storage)
 
+    @property
+    def open_slots(self) -> np.ndarray | None:
+        """Slots where generation is unconstrained, or ``None`` when the
+        bottleneck can bind.
+
+        Without a bottleneck every slot is open.  With one (rate P > 0), a
+        slot of capacity 0 is closed and a slot of capacity at least
+        P·Σ net demand is open: an optimal plan that sets up only in open
+        slots never generates more than the net demand, so the row cannot
+        bind there.  Pool repair (``repro.fleet``) and
+        :func:`repro.market.interruptions.apply_interruptions` knock slots
+        out this way.  Any capacity in between, or P ≤ 0, returns ``None``.
+        """
+        if self.bottleneck_rate is None:
+            return np.ones(self.horizon, dtype=bool)
+        rate = float(self.bottleneck_rate)
+        cap = self.bottleneck_capacity
+        closed = cap == 0.0
+        if rate <= 0.0 or not np.all(closed | (cap >= rate * float(self.net_demand.sum()))):
+            return None
+        return ~closed
+
     def inventory(self, alpha) -> np.ndarray:
         """β(α): the end-of-slot stock when ``alpha`` is generated, starting
         from ε and never negative (the balance rows, eq. 2, with any surplus
@@ -321,11 +343,15 @@ def solve_drrp(
 ) -> RentalPlan:
     """Solve DRRP and return the plan with its cost decomposition.
 
-    Under ``backend="auto"`` an uncapacitated instance (no bottleneck, and
-    no ``bb_options``) is uncapacitated lot-sizing, which the Wagner-Whitin
-    dynamic program solves exactly in O(T²); that plan is returned with
+    Under ``backend="auto"`` (and no ``bb_options``) an instance whose
+    bottleneck never binds (:attr:`DRRPInstance.open_slots`: none at all,
+    or only knocked-out slots beside non-binding ones) is uncapacitated
+    lot-sizing, which the Wagner-Whitin dynamic program solves exactly in
+    O(T²), with the knocked-out slots masked; that plan is returned with
     status ``OPTIMAL`` and no MILP is built.  Every other case — an
-    explicit backend, a bottleneck, ``bb_options`` — solves the MILP.
+    explicit backend, a bottleneck that can bind, ``bb_options`` — solves
+    the MILP.  A masked instance whose first net demand precedes every
+    open slot raises the same ``RuntimeError`` as an infeasible MILP.
 
     ``warm_start=True`` seeds branch-and-bound backends with the
     Wagner-Whitin plan as the initial incumbent (uncapacitated instances
@@ -343,20 +369,22 @@ def solve_drrp(
     ``time_limit=0``, or an already-expired ``Deadline``) does not raise:
     for uncapacitated instances the Wagner-Whitin plan is returned as the
     incumbent with status ``TIME_LIMIT``, so a zero budget degrades to the
-    polynomial-time planner instead of an error.
+    polynomial-time planner instead of an error.  The same holds for a
+    bottleneck that never binds, with the masked plan.
 
     Raises
     ------
     RuntimeError
-        If the MILP terminates without a solution and no Wagner-Whitin
-        fallback applies (DRRP with nonnegative demand and free inventory
-        is always feasible, so this indicates a solver failure rather
-        than a modeling condition).
+        If the instance is infeasible (knocked-out slots leave no setup
+        before some net demand), or the MILP terminates without a solution
+        and no Wagner-Whitin fallback applies (an uncapacitated DRRP with
+        nonnegative demand is always feasible, so there this indicates a
+        solver failure rather than a modeling condition).
     """
     if (
         backend == "auto"
-        and instance.bottleneck_rate is None
         and solve_kwargs.get("bb_options") is None
+        and instance.open_slots is not None
     ):
         from .lotsizing import run_exact_dp, solve_wagner_whitin
 
@@ -382,7 +410,7 @@ def solve_drrp(
         )
     res = solve(model, backend=backend, **solve_kwargs)
     if not res.status.has_solution:
-        if res.status is SolverStatus.TIME_LIMIT and instance.bottleneck_rate is None:
+        if res.status is SolverStatus.TIME_LIMIT and instance.open_slots is not None:
             from .lotsizing import solve_wagner_whitin, time_limit_fallback
 
             return time_limit_fallback(solve_wagner_whitin(instance), "wagner-whitin")

@@ -25,6 +25,13 @@ the *net* demands — over which production may still occur in
 at a cheap setup can beat producing at the first uncovered slot; the MILP
 cross-check property test pins this case down).
 
+A bottleneck that only knocks slots out (capacity 0 there, and capacity
+that cannot bind elsewhere — the fleet's pool repair and
+:func:`repro.market.interruptions.apply_interruptions` build exactly
+these) keeps DRRP uncapacitated lot-sizing with those setups forbidden,
+so :func:`solve_wagner_whitin` solves it exactly with the closed slots
+removed from its setup candidates.
+
 Both DPs are used as independent oracles for the MILPs (they must agree to
 numerical tolerance on every instance) and as the exact ``auto`` solver
 paths; :func:`run_exact_dp` gives those paths the events and deadline
@@ -42,22 +49,48 @@ from repro.solver import Deadline, SolverStatus, Telemetry
 from .drrp import DRRPInstance, RentalPlan, net_demand
 from .srrp import SRRPInstance, SRRPPlan
 
-__all__ = ["solve_wagner_whitin", "solve_srrp_tree_dp", "run_exact_dp", "time_limit_fallback"]
+__all__ = [
+    "DRRPInfeasible",
+    "solve_wagner_whitin",
+    "solve_srrp_tree_dp",
+    "run_exact_dp",
+    "time_limit_fallback",
+]
 
 _EPS = 1e-12
 
 
+class DRRPInfeasible(RuntimeError):
+    """No plan serves every net demand from the open slots — the message
+    and type an infeasible DRRP MILP raises through ``solve_drrp``."""
+
+    def __init__(self) -> None:
+        super().__init__(f"DRRP solve failed with status {SolverStatus.INFEASIBLE.value}")
+
+
 def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
-    """Exact DP solution of an uncapacitated DRRP instance.
+    """Exact DP solution of a DRRP instance whose bottleneck never binds.
+
+    Slots the bottleneck knocks out (:attr:`DRRPInstance.open_slots`) are
+    not setup candidates: closing a slot is an infinite setup cost there,
+    which keeps the zero-inventory-ordering property.  Without a
+    bottleneck no slot is masked and the DP is the plain Wagner–Whitin.
 
     Raises
     ------
     ValueError
-        If the instance has a bottleneck constraint (the zero-inventory
-        property needs uncapacitated generation — use the MILP instead).
+        If the bottleneck can bind (the zero-inventory property needs
+        uncapacitated generation — use the MILP instead).
+    DRRPInfeasible
+        If some net demand comes before every open slot.
     """
-    if instance.bottleneck_rate is not None:
-        raise ValueError("Wagner-Whitin applies to uncapacitated instances only")
+    open_slots = instance.open_slots
+    if open_slots is None:
+        raise ValueError(
+            "Wagner-Whitin needs a bottleneck that never binds: capacity 0 "
+            "or at least rate x total net demand in every slot"
+        )
+    closed = None if open_slots.all() else ~open_slots
 
     T = instance.horizon
     c = instance.costs
@@ -89,12 +122,17 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
         qty = cum[j + 1] - cum[: j + 1]
         cand = np.asarray(best[: j + 1]) + setup[: j + 1] + unit_gen[: j + 1] * qty + hold[: j + 1]
         cand[qty <= _EPS] = INF
+        if closed is not None:
+            cand[closed[: j + 1]] = INF
         # Scan in slot order so the earliest of (near-)equal candidates wins.
         cur, pick = best[j + 1], choice[j + 1]
         for t, value in enumerate(cand.tolist()):
             if value < cur - 1e-15:
                 cur, pick = value, t
         best[j + 1], choice[j + 1] = cur, pick
+
+    if best[T] == INF:
+        raise DRRPInfeasible()
 
     # Reconstruct generation decisions.
     alpha = np.zeros(T)
@@ -231,7 +269,9 @@ def run_exact_dp(dp, instance, method: str, where: str, listener=None, deadline=
     the plan's ``extra``.  A budget already spent on entry gives the same
     :func:`time_limit_fallback` plan the MILP paths return when their
     deadline expires before any incumbent; ``where`` names the entry point
-    in that case's ``deadline_exceeded`` event.
+    in that case's ``deadline_exceeded`` event.  A :class:`DRRPInfeasible`
+    instance ends as an infeasible MILP does: ``solve_end`` with status
+    ``infeasible``, then the exception.
     """
     telemetry = Telemetry.from_listener(listener)
     deadline = Deadline.from_budget(deadline, time_limit)
@@ -247,23 +287,31 @@ def run_exact_dp(dp, instance, method: str, where: str, listener=None, deadline=
         )
         if expired:
             telemetry.emit("deadline_exceeded", where=where)
-    with telemetry.phase(method.replace("-", "_")) if telemetry else nullcontext():
-        start = time.perf_counter()
-        plan = dp(instance)
-        wall = time.perf_counter() - start
+
+    def end(status: SolverStatus, objective) -> None:
+        if telemetry:
+            telemetry.emit(
+                "solve_end",
+                status=status.value,
+                objective=objective,
+                nodes=0,
+                iterations=0,
+                duration=telemetry.now() - solve_t0,
+            )
+
+    try:
+        with telemetry.phase(method.replace("-", "_")) if telemetry else nullcontext():
+            start = time.perf_counter()
+            plan = dp(instance)
+            wall = time.perf_counter() - start
+    except DRRPInfeasible:
+        end(SolverStatus.INFEASIBLE, None)
+        raise
     if expired:
         plan = time_limit_fallback(plan, method)
     else:
         plan.extra.update(nodes=0, iterations=0, wall_time=wall)
-    if telemetry:
-        telemetry.emit(
-            "solve_end",
-            status=plan.status.value,
-            objective=plan.objective,
-            nodes=0,
-            iterations=0,
-            duration=telemetry.now() - solve_t0,
-        )
+    end(plan.status, plan.objective)
     return plan
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from repro.market.auction import BidStrategy, effective_hourly_price, is_out_of_bid
 from repro.market.catalog import CostRates, VMClass
 from repro.stats.empirical import EmpiricalDistribution
-from .costs import CostSchedule, on_demand_schedule, spot_schedule
+from .costs import on_demand_schedule, spot_schedule
 from .drrp import DRRPInstance, solve_drrp
 from .scenario import bid_adjusted_stage_distributions, build_tree
 from .srrp import SRRPInstance, solve_srrp

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSchedule
 from .drrp import DRRPInstance, solve_drrp
 from .srrp import SRRPInstance, build_srrp_model, solve_srrp
 

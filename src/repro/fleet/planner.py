@@ -1,4 +1,4 @@
-"""`plan_fleet`: heuristic-first multi-tenant planning with MILP escalation.
+"""`plan_fleet`: heuristic-first multi-tenant planning with exact escalation.
 
 The pipeline:
 
@@ -6,12 +6,16 @@ The pipeline:
    tier (:mod:`repro.fleet.heuristic`), fanned out over processes with
    :func:`repro.parallel.parallel_map` (the fan-out degrades to serial
    inside service workers via the existing ``serial_guard``).  A tenant
-   escalates to the exact DRRP MILP when its SLA is escalation-eligible
+   escalates to an exact DRRP solve when its SLA is escalation-eligible
    and the Wagner–Whitin gap certificate exceeds the SLA tolerance — and
    unconditionally when the heuristic cannot produce a feasible plan.
    Escalated tenants call :func:`repro.core.drrp.solve_drrp` with the
    same arguments a direct caller would use, so their plans are
-   bit-for-bit identical to single-tenant solves.
+   bit-for-bit identical to single-tenant solves.  Under the default
+   ``backend="auto"`` that solve is the Wagner–Whitin DP with the
+   tenant's knocked-out slots masked (a knock never leaves a binding
+   capacity, see :attr:`repro.core.drrp.DRRPInstance.open_slots`), so no
+   MILP is built; an explicit backend still solves the MILP.
 2. **Pool repair** — independent plans may oversubscribe a shared pool
    (:mod:`repro.fleet.pool`).  Each repair round trims every overloaded
    slot down to capacity: renters are ranked by a regret estimate (the
@@ -183,8 +187,10 @@ def _knock(instance: DRRPInstance, slots: tuple[int, ...]) -> DRRPInstance:
 
 
 def _plan_tenant(item: tuple) -> dict:
-    """Worker body: heuristic first, MILP on escalation (module-level so
-    ``parallel_map`` can pickle it)."""
+    """Worker body: heuristic first, ``solve_drrp`` on escalation
+    (module-level so ``parallel_map`` can pickle it; ``plan_fleet`` looks
+    it up at call time).  The outcome's ``method`` is ``"milp"`` for an
+    escalated tenant whichever exact solver ``backend`` picks."""
     tenant_id, instance, knocked, gap_tol, escalate, backend, max_rounds = item
     before = compile_cache_stats()
     knocked_instance = _knock(instance, knocked)

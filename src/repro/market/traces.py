@@ -18,8 +18,9 @@ the statistical properties the paper's analysis pipeline measures:
   but stays < 3 % (Figure 3);
 * **price quantization** — to $0.001, as in the real market.
 
-The generator is vectorized end-to-end: exponential gaps → cumulative
-times, one ``lfilter`` pass for the AR(1) recursion, masked spike overlay.
+The generator is vectorized apart from the AR(1) recursion: exponential
+gaps → cumulative times, one :func:`_ar1_filter` loop for the AR(1), masked
+spike overlay.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from scipy import signal as scisignal
-except ImportError:  # pure-numpy fallback below
-    scisignal = None
 
 from repro.stats.rng import ensure_rng
 from .catalog import VMClass
@@ -130,6 +126,24 @@ def _update_times(params: TraceParams, rng: np.random.Generator) -> np.ndarray:
     return times[keep]
 
 
+def _ar1_filter(drive: np.ndarray, decay: float, start: float) -> np.ndarray:
+    """``x_k = decay·x_{k-1} + drive_k`` from ``x_{-1} = start``.
+
+    The same IEEE operations, in the same order, as
+    ``scipy.signal.lfilter([1], [1, -decay], drive, zi=[decay·start])``,
+    so the two agree bit for bit, without importing SciPy.  A plain loop
+    over Python floats beats ``lfilter`` on the few dozen updates of a
+    fleet tenant's trace; on a full 506-day trace (~4000 updates) it takes
+    about 0.5 ms against 0.04 ms (2-CPU host).
+    """
+    out = []
+    prev = float(start)
+    for d in drive.tolist():
+        prev = decay * prev + d
+        out.append(prev)
+    return np.array(out, dtype=float)
+
+
 def generate_spot_trace(
     vm: VMClass,
     seed_or_rng: int | np.random.Generator | None = 0,
@@ -153,16 +167,7 @@ def generate_spot_trace(
     kappa = params.mean_reversion
     sigma = vm.spot_volatility * base
     drive = kappa * target + sigma * rng.normal(size=n)
-    if scisignal is not None:
-        x = scisignal.lfilter(
-            [1.0], [1.0, -(1.0 - kappa)], drive, zi=np.array([(1.0 - kappa) * base])
-        )[0]
-    else:
-        x = np.empty(n)
-        prev = base
-        for k in range(n):
-            prev = (1.0 - kappa) * prev + drive[k]
-            x[k] = prev
+    x = _ar1_filter(drive, 1.0 - kappa, base)
 
     # spikes: multiplicative upward outliers, one update long
     spikes = rng.random(n) < vm.outlier_rate

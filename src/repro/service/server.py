@@ -591,7 +591,14 @@ def serve(
     load generator) returns immediately with the server running on a
     daemon thread; callers stop it with ``httpd.shutdown()`` +
     ``service.close()``.
+
+    SciPy's optimizer loads on first use; probing for it here pays that
+    import at start-up, so the first MILP request does not pay it inside
+    its deadline.
     """
+    from repro.solver.scipy_backend import scipy_available
+
+    scipy_available()
     service = PlanningService(config).start()
     httpd = PlanningHTTPServer((host, port), service)
     if block:  # pragma: no cover - exercised via the CLI, interactively

@@ -11,6 +11,10 @@ without it, :func:`scipy_available` reports whether the fast path exists,
 and ``backend="auto"`` (see :mod:`repro.solver.interface`) degrades to the
 pure-Python stack when it does not.  Calling either solve function without
 SciPy raises a descriptive :class:`ImportError`.
+
+:mod:`scipy.optimize` is imported on the first :func:`scipy_available` or
+HiGHS call, not with this module: a process that only runs the exact DPs
+and the pure-Python stack never pays for it.
 """
 
 from __future__ import annotations
@@ -19,17 +23,16 @@ import math
 
 import numpy as np
 
-try:  # pragma: no cover - exercised by the scipy-less CI job
-    from scipy import optimize as sciopt
-
-    _SCIPY_IMPORT_ERROR: Exception | None = None
-except ImportError as exc:  # pragma: no cover
-    sciopt = None
-    _SCIPY_IMPORT_ERROR = exc
-
 from .model import CompiledProblem
 from .result import SolverResult, SolverStatus
 from .telemetry import Deadline, Telemetry
+
+_UNLOADED = object()
+#: :mod:`scipy.optimize` once loaded, ``None`` when it cannot be imported
+#: (tests also set ``None`` to simulate that), ``_UNLOADED`` before the
+#: first use.
+sciopt = _UNLOADED
+_SCIPY_IMPORT_ERROR: Exception | None = None
 
 __all__ = ["scipy_available", "solve_lp_scipy", "solve_milp_scipy"]
 
@@ -42,18 +45,34 @@ _STATUS_FROM_LINPROG = {
 }
 
 
+def _load_scipy():
+    """:mod:`scipy.optimize`, imported on first use, or ``None``."""
+    global sciopt, _SCIPY_IMPORT_ERROR
+    if sciopt is _UNLOADED:
+        try:
+            from scipy import optimize
+        except ImportError as exc:  # pragma: no cover - exercised by the scipy-less CI job
+            sciopt, _SCIPY_IMPORT_ERROR = None, exc
+        else:
+            sciopt = optimize
+    return sciopt
+
+
 def scipy_available() -> bool:
-    """True when :mod:`scipy.optimize` imported successfully."""
-    return sciopt is not None
+    """True when :mod:`scipy.optimize` imports (loading it on the first call)."""
+    return _load_scipy() is not None
 
 
-def _require_scipy(caller: str) -> None:
-    if sciopt is None:
+def _require_scipy(caller: str):
+    """:mod:`scipy.optimize`, or a descriptive :class:`ImportError`."""
+    module = _load_scipy()
+    if module is None:
         raise ImportError(
             f"{caller} requires scipy, which is not installed; use "
             "backend='auto' (falls back to the pure-Python simplex stack) "
             "or backend='simplex'"
         ) from _SCIPY_IMPORT_ERROR
+    return module
 
 
 def _bounds(problem: CompiledProblem) -> list[tuple[float | None, float | None]]:
@@ -112,7 +131,7 @@ def solve_lp_scipy(
     A :class:`~repro.solver.telemetry.Deadline` maps onto HiGHS's own
     ``time_limit`` option so even a single LP respects the shared budget.
     """
-    _require_scipy("solve_lp_scipy")
+    optimize = _require_scipy("solve_lp_scipy")
     options = dict(kwargs.pop("options", {}) or {})
     if deadline is not None and math.isfinite(deadline.remaining()):
         if deadline.expired():
@@ -121,7 +140,7 @@ def solve_lp_scipy(
             return SolverResult(status=SolverStatus.TIME_LIMIT)
         options.setdefault("time_limit", max(deadline.remaining(), 1e-3))
     def run():
-        return sciopt.linprog(
+        return optimize.linprog(
             c=problem.c,
             A_ub=problem.A_ub if problem.A_ub.size else None,
             b_ub=problem.b_ub if problem.b_ub.size else None,
@@ -161,7 +180,7 @@ def solve_milp_scipy(
     telemetry: Telemetry | None = None,
 ) -> SolverResult:
     """Solve the MILP with ``scipy.optimize.milp`` (HiGHS branch-and-cut)."""
-    _require_scipy("solve_milp_scipy")
+    optimize = _require_scipy("solve_milp_scipy")
     if deadline is not None and math.isfinite(deadline.remaining()):
         if deadline.expired():
             if telemetry:
@@ -172,11 +191,11 @@ def solve_milp_scipy(
     constraints = []
     if problem.A_ub.size:
         constraints.append(
-            sciopt.LinearConstraint(problem.A_ub, -np.inf, problem.b_ub)
+            optimize.LinearConstraint(problem.A_ub, -np.inf, problem.b_ub)
         )
     if problem.A_eq.size:
         constraints.append(
-            sciopt.LinearConstraint(problem.A_eq, problem.b_eq, problem.b_eq)
+            optimize.LinearConstraint(problem.A_eq, problem.b_eq, problem.b_eq)
         )
     options = {}
     if time_limit is not None:
@@ -184,11 +203,11 @@ def solve_milp_scipy(
     if mip_rel_gap is not None:
         options["mip_rel_gap"] = mip_rel_gap
     def run():
-        return sciopt.milp(
+        return optimize.milp(
             c=problem.c,
             constraints=constraints or None,
             integrality=problem.integrality,
-            bounds=sciopt.Bounds(problem.lb, problem.ub),
+            bounds=optimize.Bounds(problem.lb, problem.ub),
             options=options or None,
         )
 

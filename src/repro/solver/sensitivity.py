@@ -57,10 +57,10 @@ def lp_sensitivity(problem: CompiledProblem) -> SensitivityReport:
     ImportError
         If scipy is not installed (duals come from HiGHS marginals).
     """
-    from .scipy_backend import _require_scipy, sciopt
+    from .scipy_backend import _require_scipy
 
-    _require_scipy("lp_sensitivity")
-    res = sciopt.linprog(
+    optimize = _require_scipy("lp_sensitivity")
+    res = optimize.linprog(
         c=problem.c,
         A_ub=problem.A_ub if problem.A_ub.size else None,
         b_ub=problem.b_ub if problem.b_ub.size else None,

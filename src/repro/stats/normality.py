@@ -8,6 +8,9 @@ Shapiro–Wilk test.  We provide:
   implementation of the W statistic);
 * :func:`normal_fit` — the mean/variance normal approximation the paper
   overlays in Figure 5.
+
+:mod:`scipy.stats` is imported by the first test that needs it, so
+importing :mod:`repro.stats` does not load it.
 """
 
 from __future__ import annotations
@@ -15,18 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-try:
-    from scipy import stats as scistats
-except ImportError:  # tests that need it are scipy-gated
-    scistats = None
 
 
-def _require_scipy(caller: str) -> None:
-    if scistats is None:
+def _require_scipy(caller: str):
+    """:mod:`scipy.stats`, imported on first use, or a descriptive
+    :class:`ImportError` (tests that need it are scipy-gated)."""
+    try:
+        from scipy import stats
+    except ImportError as exc:
         raise ImportError(
             f"{caller} requires scipy (scipy.stats); install scipy or avoid the "
             "normality tests on this machine"
-        )
+        ) from exc
+    return stats
 
 __all__ = ["NormalityResult", "jarque_bera", "shapiro_wilk", "normal_fit", "normal_pdf"]
 
@@ -64,8 +68,7 @@ def jarque_bera(sample: np.ndarray) -> NormalityResult:
     skew = m3 / m2**1.5
     kurt = m4 / m2**2 - 3.0
     jb = n / 6.0 * (skew**2 + kurt**2 / 4.0)
-    _require_scipy("jarque_bera")
-    p = float(scistats.chi2.sf(jb, df=2))
+    p = float(_require_scipy("jarque_bera").chi2.sf(jb, df=2))
     return NormalityResult(statistic=float(jb), p_value=p, test="jarque-bera")
 
 
@@ -79,8 +82,7 @@ def shapiro_wilk(sample: np.ndarray) -> NormalityResult:
     if x.size > 5000:
         idx = np.linspace(0, x.size - 1, 5000).astype(int)
         x = x[idx]
-    _require_scipy("shapiro_wilk")
-    stat, p = scistats.shapiro(x)
+    stat, p = _require_scipy("shapiro_wilk").shapiro(x)
     return NormalityResult(statistic=float(stat), p_value=float(p), test="shapiro-wilk")
 
 

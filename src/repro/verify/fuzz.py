@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.drrp import DRRPInstance, solve_drrp
-from repro.core.lotsizing import solve_wagner_whitin
+from repro.core.lotsizing import DRRPInfeasible, solve_wagner_whitin
 from repro.core.srrp import SRRPInstance, solve_srrp
 from repro.solver.benders import TwoStageProblem, solve_benders
 from repro.solver.interface import solve_compiled
@@ -130,6 +130,57 @@ def _jsonable(obj):
     return obj
 
 
+def _certify_drrp(inst: DRRPInstance, optimum: float | None, tol: float) -> bool:
+    """The MILP on an explicit backend, then ``auto``, each certified and
+    held to ``optimum`` (or to the Wagner-Whitin DP where it is exact).
+
+    "auto" answers an instance whose bottleneck never binds with the DP,
+    which would make that reference compare the DP with itself; the MILP
+    is the independent vote.  An instance with no plan must be infeasible
+    on both paths, and is then certified by its structure: some net demand
+    precedes every open slot.
+    """
+    backend = "scipy" if scipy_available() else "simplex"
+    exact_dp = inst.open_slots is not None
+    try:
+        plan = solve_drrp(inst, backend=backend)
+    except RuntimeError as exc:
+        if not (exact_dp and "infeasible" in str(exc)):
+            return False
+        try:
+            solve_drrp(inst, backend="auto")
+        except DRRPInfeasible:
+            first = int(np.nonzero(inst.net_demand > 1e-12)[0][0])
+            return not inst.open_slots[: first + 1].any()
+        return False
+    reference = optimum
+    if reference is None and exact_dp:
+        reference = solve_wagner_whitin(inst).objective
+
+    def matches(objective: float) -> bool:
+        return reference is not None and abs(objective - reference) <= tol * (1 + abs(reference))
+
+    certified = certify_drrp_plan(inst, plan, tol=tol).ok and matches(plan.objective)
+    if exact_dp:
+        auto = solve_drrp(inst, backend="auto")
+        certified = certified and certify_drrp_plan(inst, auto, tol=tol).ok and matches(auto.objective)
+    return bool(certified)
+
+
+def _knocked(inst: DRRPInstance) -> DRRPInstance:
+    """``inst`` with every third slot evicted (the knocked leg:
+    ``apply_interruptions``' encoding, which ``auto`` answers with the
+    masked DP).  The first knocked slot is the cheapest setup's index
+    mod 3, so about a third of the cases lose slot 0, and those whose
+    initial storage does not cover slot 0 become infeasible."""
+    from repro.market.interruptions import InterruptionEvent, apply_interruptions
+
+    first = int(np.argmin(inst.costs.compute)) % 3
+    return apply_interruptions(inst, [
+        InterruptionEvent(slot=t, spot_price=1.0, bid=0.0) for t in range(first, inst.horizon, 3)
+    ])
+
+
 def _certify_case(case: GeneratedCase, tol: float) -> tuple[bool, bool]:
     """(certified, gap_violation) for one primary solve of the case.
 
@@ -166,23 +217,10 @@ def _certify_case(case: GeneratedCase, tol: float) -> tuple[bool, bool]:
             return True, gap_bad  # feasible + integral + matches the planted optimum
         return False, gap_bad
     if isinstance(inst, DRRPInstance):
-        # The MILP on an explicit backend: "auto" answers uncapacitated
-        # instances with the Wagner-Whitin DP, which would make the
-        # reference below compare the DP with itself.
-        plan = solve_drrp(inst, backend="scipy" if scipy_available() else "simplex")
-        report = certify_drrp_plan(inst, plan, tol=tol)
-        reference = case.optimum
-        if reference is None and inst.bottleneck_rate is None:
-            reference = solve_wagner_whitin(inst).objective
-
-        def matches(objective: float) -> bool:
-            return reference is not None and abs(objective - reference) <= tol * (1 + abs(reference))
-
-        certified = report.ok and matches(plan.objective)
-        if inst.bottleneck_rate is None:
-            auto = solve_drrp(inst, backend="auto")
-            certified = certified and certify_drrp_plan(inst, auto, tol=tol).ok and matches(auto.objective)
-        return bool(certified), False
+        certified = _certify_drrp(inst, case.optimum, tol)
+        if certified and inst.bottleneck_rate is None:
+            certified = _certify_drrp(_knocked(inst), None, tol)
+        return certified, False
     if isinstance(inst, TwoStageProblem):
         bd = solve_benders(inst)
         if not bd.status.has_solution:

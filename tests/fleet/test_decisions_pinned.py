@@ -6,11 +6,19 @@ recorded from the planner and are asserted exactly: the fleet's exact
 total cost, its repair trajectory, every tenant's rental slots, and per
 instance the heuristic's exact objective, search rounds and escalation
 verdicts.  A change here is a behaviour change, never noise.
+
+The totals of seeds 2, 3 and 7 were re-recorded when escalated tenants
+with knocked-out slots moved from a HiGHS MILP to the masked
+Wagner–Whitin DP: each such tenant's objective became the DP's priced
+plan instead of HiGHS's reported value, within a few ulps of it, and no
+decision moved.  ``test_knocked_escalations_are_exact`` holds those
+objectives to a zero-gap MILP.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import solve_drrp
 from repro.fleet import (
     FleetConfig,
     HeuristicInfeasible,
@@ -42,7 +50,7 @@ FLEETS = {
         ),
     ),
     2: (
-        "1286001740780187086141426551846897163/10384593717069655257060992658440192",
+        "1286001740780187196821890994104206859/10384593717069655257060992658440192",
         2, 2, 45,
         (
             "100110000000011000001001",
@@ -58,7 +66,7 @@ FLEETS = {
         ),
     ),
     3: (
-        "2439485338221962581433016911311533001/20769187434139310514121985316880384",
+        "2439485338221962858134178016954807241/20769187434139310514121985316880384",
         4, 2, 24,
         (
             "101010101010110101011010",
@@ -74,7 +82,7 @@ FLEETS = {
         ),
     ),
     7: (
-        "2505065584011214243696278712898223415/20769187434139310514121985316880384",
+        "2505065584011214169909302418060016951/20769187434139310514121985316880384",
         5, 2, 20,
         (
             "111111111111111111111111",
@@ -172,6 +180,17 @@ def test_fleet_decisions_are_pinned(seed):
     assert str(plan.total_cost_exact) == total
     assert (plan.repair_rounds, plan.escalated, plan.knockouts) == (rounds, escalated, knockouts)
     assert tuple("".join("1" if c > 0.5 else "0" for c in o.plan.chi) for o in plan.outcomes) == chis
+
+
+@pytest.mark.parametrize("seed", sorted(FLEETS))
+def test_knocked_escalations_are_exact(seed):
+    pytest.importorskip("scipy")
+    tenants = generate_tenants(10, seed=seed, horizon=24)
+    plan = plan_fleet(tenants, uniform_pools(tenants, utilization=0.6), FleetConfig(workers=1))
+    for o in plan.outcomes:
+        if o.escalated and o.knocked:
+            milp = solve_drrp(o.instance, backend="scipy", mip_rel_gap=0.0)
+            assert o.plan.objective == pytest.approx(milp.objective, rel=1e-9, abs=0.0)
 
 
 def test_heuristic_decisions_are_pinned():

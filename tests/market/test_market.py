@@ -22,6 +22,7 @@ from repro.market import (
     is_out_of_bid,
     update_interval_stats,
 )
+from repro.market.traces import _ar1_filter
 
 
 class TestCatalog:
@@ -95,6 +96,21 @@ class TestTraceGeneration:
         vm = ec2_catalog()["c1.medium"]
         tr = generate_spot_trace(vm, 6, TraceParams(duration_days=10.0))
         assert tr.duration_hours < 240.0
+
+    def test_ar1_loop_matches_lfilter_bit_for_bit(self):
+        # The trace generator's AR(1) loop replaced scipy.signal.lfilter;
+        # every trace must stay byte-identical to the one lfilter gave.
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(2012)
+        for _ in range(1000):
+            n = int(rng.integers(1, 300))
+            kappa = float(rng.uniform(0.01, 0.99))
+            base = float(rng.uniform(0.005, 2.0))
+            drive = kappa * base + float(rng.uniform(0.01, 0.5)) * base * rng.normal(size=n)
+            expected = signal.lfilter(
+                [1.0], [1.0, -(1.0 - kappa)], drive, zi=np.array([(1.0 - kappa) * base])
+            )[0]
+            assert _ar1_filter(drive, 1.0 - kappa, base).tobytes() == expected.tobytes()
 
     def test_price_at_lookup(self):
         tr = SpotPriceTrace("x", np.array([1.0, 5.0, 9.0]), np.array([0.1, 0.2, 0.3]))

@@ -55,8 +55,21 @@ class TestPlanEntryPoint:
         assert "DRRP cost" in out
 
     def test_capacitated_instance_still_raises(self, instance):
-        # no WW fallback exists under a bottleneck: an honest error beats
-        # silently ignoring the capacity constraint
+        # no WW fallback exists under a bottleneck that can bind: an honest
+        # error beats silently ignoring the capacity constraint
+        capped = DRRPInstance(
+            demand=instance.demand,
+            costs=instance.costs,
+            bottleneck_rate=1.0,
+            bottleneck_capacity=np.full(instance.horizon, 1.5 * float(instance.demand.max())),
+            vm_name=instance.vm_name,
+        )
+        assert capped.open_slots is None
+        with pytest.raises(RuntimeError, match="time_limit"):
+            solve_drrp(capped, backend="auto", time_limit=0)
+
+    def test_never_binding_cap_gets_the_ww_incumbent(self, instance):
+        # a cap above the total demand cannot bind: the DP answers it
         capped = DRRPInstance(
             demand=instance.demand,
             costs=instance.costs,
@@ -64,8 +77,10 @@ class TestPlanEntryPoint:
             bottleneck_capacity=np.full(instance.horizon, 1e6),
             vm_name=instance.vm_name,
         )
-        with pytest.raises(RuntimeError, match="time_limit"):
-            solve_drrp(capped, backend="auto", time_limit=0)
+        plan = solve_drrp(capped, backend="auto", time_limit=0)
+        assert plan.status is SolverStatus.TIME_LIMIT
+        assert plan.extra["fallback"] == "wagner-whitin"
+        assert plan.objective == solve_wagner_whitin(instance).objective
 
 
 class TestBranchAndBoundEntryPoint:
