@@ -1,4 +1,4 @@
-"""Fleet planning benchmark: tenant throughput, heuristic quality, cache reuse.
+"""Fleet planning benchmark: tenant throughput, heuristic quality, feasibility.
 
 Four seeded legs, all deterministic given the config:
 
@@ -6,10 +6,8 @@ Four seeded legs, all deterministic given the config:
   multi-tenant population (heterogeneous demand profiles, SLAs, market
   pools) used by every other leg.
 * **plan** — :func:`repro.fleet.plan_fleet` plans the whole fleet
-  end-to-end (heuristic tier, MILP escalation, pool repair) and reports
-  tenants/minute plus the :func:`repro.solver.compile_cache_stats`
-  breakdown aggregated across worker processes — the structural
-  shape-cache hit rate is what makes same-horizon tenants cheap.
+  end-to-end (heuristic tier, exact escalation, pool repair) and reports
+  tenants/minute, escalations, repair rounds and knockouts.
 * **cohort** — heuristic vs MILP on the first ``milp_sample``
   escalation-eligible tenants' *base* (unknocked) instances.  The MILP is
   exact, so per-tenant ``heuristic / milp >= 1`` and the mean is the
@@ -21,8 +19,8 @@ Four seeded legs, all deterministic given the config:
 The record is written as ``BENCH_fleet.json`` (``REPRO_BENCH_DIR``
 honored).  CI gates only machine-independent quantities: the plan must be
 feasible, the cohort cost ratio must stay within the paper-quality band,
-and the shape-cache hit rate and escalation fraction must not collapse
-relative to the committed baseline (see the ``fleet`` rows of
+and the escalation fraction must stay within a band of the committed
+baseline (see the ``fleet`` rows of
 :mod:`repro.bench.gates` and ``docs/fleet.md``).  Absolute wall times and
 tenants/minute are recorded for humans but never compared across hosts.
 """
@@ -46,7 +44,6 @@ from repro.fleet import (
 )
 from repro.obs.spans import span
 from repro.serialize import write_bench_record
-from repro.solver import reset_compile_cache_stats
 from repro.solver.telemetry import Telemetry
 
 __all__ = [
@@ -79,17 +76,6 @@ class FleetBenchConfig:
             )
         if not 0.0 < self.utilization <= 1.0:
             raise ValueError(f"utilization must be in (0, 1], got {self.utilization}")
-
-
-def _shape_hit_rate(stats: dict) -> float:
-    """Fraction of structural builds avoided by the shape cache.
-
-    Instance hits skip compilation entirely; of the compiles
-    that did reach the structural layer, ``shape_hits`` reused a cached
-    index skeleton and only re-scattered values.
-    """
-    structural = int(stats.get("shape_hits", 0)) + int(stats.get("full_builds", 0))
-    return int(stats.get("shape_hits", 0)) / structural if structural else 0.0
 
 
 def _cohort_leg(tenants, cfg: FleetBenchConfig) -> dict:
@@ -129,7 +115,6 @@ def run_fleet_bench(cfg: FleetBenchConfig | None = None, listener=None) -> dict:
             pools = uniform_pools(tenants, utilization=cfg.utilization)
             generate_wall = time.perf_counter() - t0
 
-        reset_compile_cache_stats()
         with span(hub, "bench_leg[plan]"):
             t0 = time.perf_counter()
             fleet = plan_fleet(
@@ -169,8 +154,6 @@ def run_fleet_bench(cfg: FleetBenchConfig | None = None, listener=None) -> dict:
             "methods": dict(fleet.methods),
             "repair_rounds": fleet.repair_rounds,
             "knockouts": fleet.knockouts,
-            "compile_stats": dict(fleet.compile_stats),
-            "shape_hit_rate": _shape_hit_rate(fleet.compile_stats),
         },
         "cohort": cohort,
         "feasibility": {"wall_s": verify_wall, "feasible": not failures},
@@ -184,7 +167,6 @@ def run_fleet_bench(cfg: FleetBenchConfig | None = None, listener=None) -> dict:
 def fleet_summary_lines(record: dict) -> list[str]:
     plan = record["plan"]
     cohort = record["cohort"]
-    stats = plan["compile_stats"]
     return [
         (
             f"plan: {record['config']['tenants']} tenants in "
@@ -193,12 +175,6 @@ def fleet_summary_lines(record: dict) -> list[str]:
             f"({plan['escalation_fraction']:.1%} of fleet), "
             f"{plan['repair_rounds']} repair rounds, "
             f"{plan['knockouts']} knockouts"
-        ),
-        (
-            f"compile: {stats.get('compiles', 0)} compiles, shape hit rate "
-            f"{plan['shape_hit_rate']:.0%} "
-            f"({stats.get('shape_hits', 0)} shape / "
-            f"{stats.get('full_builds', 0)} full)"
         ),
         (
             f"cohort: heuristic/MILP mean {cohort['cost_ratio_mean']:.4f}, "

@@ -91,7 +91,6 @@ GATES: dict[str, tuple[Gate, ...]] = {
         Gate("plan feasible", "feasibility.feasible", MIN, 1),
         Gate("cohort heuristic/MILP cost ratio", "cohort.cost_ratio_mean", MAX, 1.05),
         Gate("cohort heuristic/MILP cost ratio", "cohort.cost_ratio_mean", EXCESS, 0.75),
-        Gate("shape-cache hit rate", "plan.shape_hit_rate", FACTOR, 0.75),
         Gate("escalation fraction", "plan.escalation_fraction", BAND, 0.75),
     ),
     "sim": (

@@ -275,6 +275,9 @@ class RentalPlan:
                 raise AssertionError(f"forcing constraint violated at t={t}")
             if self.alpha[t] < -tol or self.beta[t] < -tol:
                 raise AssertionError(f"negative quantity at t={t}")
+            if (instance.bottleneck_rate is not None and instance.bottleneck_rate
+                    * self.alpha[t] > instance.bottleneck_capacity[t] + tol):
+                raise AssertionError(f"bottleneck capacity exceeded at t={t}")
             prev = self.beta[t]
 
 

@@ -4,10 +4,10 @@ Scales the paper's single-application DRRP to a fleet: a seeded tenant
 population (:mod:`repro.fleet.tenants`) shares finite spot/on-demand/
 reserved capacity pools (:mod:`repro.fleet.pool`); every tenant is
 planned by a cheap greedy + local-search tier with exact-Fraction
-accounting (:mod:`repro.fleet.heuristic`) and escalated to the exact
-MILP only when its Wagner–Whitin gap certificate exceeds the SLA
+accounting (:mod:`repro.fleet.heuristic`) and escalated to an exact
+solve only when its Wagner–Whitin gap certificate exceeds the SLA
 tolerance; :func:`repro.fleet.planner.plan_fleet` orchestrates the
-fan-out, compiled-model sharing and pool-feasibility repair.
+fan-out, exact escalation and pool-feasibility repair.
 """
 
 from .heuristic import HeuristicInfeasible, HeuristicResult, solve_heuristic

@@ -28,11 +28,6 @@ The pipeline:
    slots could no longer precede their first net demand are *pinned* and
    never trimmed.  Each round knocks out at least one new (tenant, slot)
    pair, so repair terminates in at most ``tenants x horizon`` rounds.
-
-Same-shape tenant models share one compiled sparsity pattern through the
-``Model.compile`` shape cache; the per-process cache counters are
-aggregated across workers and reported in :class:`FleetPlan` so
-``repro bench fleet`` can gate the hit rate.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from repro.fleet.pool import (
 from repro.fleet.tenants import SLAS, Tenant
 from repro.obs.spans import span
 from repro.parallel.pool import default_workers, parallel_map
-from repro.solver.model import compile_cache_stats
 from repro.solver.telemetry import Telemetry
 
 __all__ = ["FleetConfig", "TenantOutcome", "FleetPlan", "plan_fleet"]
@@ -108,7 +102,6 @@ class FleetPlan:
     repair_rounds: int
     knockouts: int
     methods: dict[str, int]
-    compile_stats: dict[str, int]
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -186,13 +179,12 @@ def _knock(instance: DRRPInstance, slots: tuple[int, ...]) -> DRRPInstance:
     return replace(instance, bottleneck_rate=rate, bottleneck_capacity=cap)
 
 
-def _plan_tenant(item: tuple) -> dict:
+def _plan_tenant(item: tuple) -> TenantOutcome:
     """Worker body: heuristic first, ``solve_drrp`` on escalation
     (module-level so ``parallel_map`` can pickle it; ``plan_fleet`` looks
     it up at call time).  The outcome's ``method`` is ``"milp"`` for an
     escalated tenant whichever exact solver ``backend`` picks."""
     tenant_id, instance, knocked, gap_tol, escalate, backend, max_rounds = item
-    before = compile_cache_stats()
     knocked_instance = _knock(instance, knocked)
     method, reason, gap, lower = "heuristic", "", None, None
     plan = None
@@ -207,21 +199,17 @@ def _plan_tenant(item: tuple) -> dict:
         method, reason = "milp", "heuristic-infeasible"
     if plan is None:
         plan = solve_drrp(knocked_instance, backend=backend)
-    after = compile_cache_stats()
-    return {
-        "outcome": TenantOutcome(
-            tenant_id=tenant_id,
-            plan=plan,
-            instance=knocked_instance,
-            method=method,
-            escalated=method == "milp",
-            reason=reason,
-            gap=gap,
-            lower_bound=lower,
-            knocked=knocked,
-        ),
-        "compile": {k: after[k] - before[k] for k in after},
-    }
+    return TenantOutcome(
+        tenant_id=tenant_id,
+        plan=plan,
+        instance=knocked_instance,
+        method=method,
+        escalated=method == "milp",
+        reason=reason,
+        gap=gap,
+        lower_bound=lower,
+        knocked=knocked,
+    )
 
 
 def _first_net_demand(tenant: Tenant) -> int:
@@ -303,7 +291,6 @@ def plan_fleet(
 
     by_id = {t.tenant_id: t for t in tenants}
     knocked: dict[int, set[int]] = defaultdict(set)
-    compile_total: dict[str, int] = defaultdict(int)
 
     def run_batch(ids: list[int], phase: str) -> None:
         items = [
@@ -323,12 +310,9 @@ def plan_fleet(
                 _plan_tenant, items, n_workers=workers, telemetry=hub
             )
             escalations = 0
-            for result in results:
-                outcome = result["outcome"]
+            for outcome in results:
                 outcomes[outcome.tenant_id] = outcome
                 escalations += int(outcome.escalated)
-                for key, value in result["compile"].items():
-                    compile_total[key] += value
             attrs["escalated"] = escalations
 
     outcomes: dict[int, TenantOutcome] = {}
@@ -439,6 +423,5 @@ def plan_fleet(
         repair_rounds=repair_rounds,
         knockouts=sum(len(s) for s in knocked.values()),
         methods=dict(methods),
-        compile_stats=dict(compile_total),
         failures=failures,
     )

@@ -142,9 +142,8 @@ def generate_tenants(
 ) -> list[Tenant]:
     """Generate a deterministic, heterogeneous tenant population.
 
-    All tenants share ``horizon`` — fleets replan on a common rolling
-    window — which is what lets their DRRP models share one compiled
-    shape in :meth:`repro.solver.Model.compile`.
+    All tenants share ``horizon``: fleets replan on a common rolling
+    window, and pool usage is summed slot by slot.
     """
     if count < 1:
         raise ValueError(f"a fleet needs at least one tenant, got {count}")

@@ -16,17 +16,25 @@ Two paths:
 
 :func:`degraded_request`
     The overload/expiry fallback: polynomial-time planners only, no
-    queueing and no MILP.  Uncapacitated DRRP gets Wagner-Whitin and SRRP
-    the production-path tree DP (both exact, and an SRRP answer stays
-    vertex-indexed like a solved one); capacitated DRRP gets the no-plan
-    scheme.  The returned payload carries ``degraded`` naming the planner.
+    queueing and no MILP.  DRRP whose bottleneck never binds (none, or
+    knocked-out slots beside caps that cannot bind) gets the masked
+    Wagner-Whitin and SRRP the production-path tree DP (both exact, and
+    an SRRP answer stays vertex-indexed like a solved one); any other
+    capacitated DRRP gets the no-plan scheme when it fits every slot's
+    cap.  The returned payload carries ``degraded`` naming the planner;
+    a request no such planner can answer within its caps raises
+    :class:`DegradeRefused`.
 """
 
 from __future__ import annotations
 
 from .encoding import build_instance, plan_payload
 
-__all__ = ["execute_request", "degraded_request"]
+__all__ = ["execute_request", "degraded_request", "DegradeRefused"]
+
+
+class DegradeRefused(RuntimeError):
+    """No polynomial-time planner answers the request within its caps."""
 
 
 def execute_request(
@@ -90,6 +98,7 @@ def _fleet_request(request: dict, listener=None, escalate: bool = True) -> dict:
 def degraded_request(request: dict) -> dict:
     """Polynomial-time plan for one normalized request (see module docstring)."""
     from repro.core import solve_noplan, solve_srrp_tree_dp, solve_wagner_whitin
+    from repro.core.lotsizing import DRRPInfeasible
 
     if request["kind"] == "fleet":
         payload = _fleet_request(request, escalate=False)
@@ -99,8 +108,17 @@ def degraded_request(request: dict) -> dict:
     instance = build_instance(request)
     if request["kind"] == "srrp":
         plan, planner = solve_srrp_tree_dp(instance), "tree-dp"
-    elif instance.bottleneck_rate is None:
-        plan, planner = solve_wagner_whitin(instance), "wagner-whitin"
+    elif instance.open_slots is not None:
+        try:
+            plan, planner = solve_wagner_whitin(instance), "wagner-whitin"
+        except DRRPInfeasible as exc:
+            raise DegradeRefused(
+                "no degraded plan: a net demand precedes every open slot"
+            ) from exc
+    elif (instance.bottleneck_rate * instance.net_demand > instance.bottleneck_capacity).any():
+        raise DegradeRefused(
+            "no degraded plan: generating each slot's net demand exceeds its capacity"
+        )
     else:
         plan, planner = solve_noplan(instance), "no-plan"
     payload = plan_payload(request["kind"], plan)

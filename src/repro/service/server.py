@@ -45,7 +45,8 @@ synthetic ``service_queue_wait`` phase distinct from solve time.
 Admission control: the queue is bounded; when it is full a submission
 either gets 429 with a ``Retry-After`` estimate (``on_overload:
 "reject"``, the default) or an inline polynomial-time heuristic plan
-with ``degraded`` set (``on_overload: "degrade"``) — the server never
+with ``degraded`` set (``on_overload: "degrade"``; 429 again when no
+such plan keeps the request's capacity caps) — the server never
 blocks a submission behind a solve.  Per-request ``time_limit`` budgets
 cover queue wait *and* solve, mapped onto the solver's ``Deadline``.
 
@@ -237,9 +238,15 @@ class PlanningService:
     def _overload(self, job: Job, request: dict) -> tuple[int, dict]:
         """Queue-full handling: degrade inline or reject with Retry-After."""
         if request["on_overload"] == "degrade":
-            from .executor import degraded_request
+            from .executor import DegradeRefused, degraded_request
 
-            payload = degraded_request(request)
+            try:
+                payload = degraded_request(request)
+            except DegradeRefused as exc:
+                job.finish(error=str(exc))
+                self.registry.counter("service_degrade_refused").inc()
+                return 429, {"error": f"planning queue is full; {exc}",
+                             "degrade_refused": True, "retry_after": self.retry_after()}
             job.degraded = payload["degraded"]
             job.finish(plan=payload)
             self.registry.counter("service_degraded").inc()
@@ -309,10 +316,18 @@ class PlanningService:
             if job.deadline is not None and job.deadline.expired():
                 # Budget gone (possibly entirely to queue wait): answer with
                 # the heuristic plan rather than an error, marked honestly.
-                payload = degraded_request(request)
-                payload["status"] = "time_limit"
-                job.degraded = payload["degraded"]
-                self._finish_job(job, plan=payload)
+                # Its raise (DegradeRefused, or a degraded fleet plan that
+                # failed) is caught here: the sibling handler below does not
+                # see exceptions raised inside this one.
+                try:
+                    payload = degraded_request(request)
+                except Exception as refusal:  # noqa: BLE001 - a worker must never die
+                    self.registry.counter("service_degrade_refused").inc()
+                    self._finish_job(job, error=f"{type(refusal).__name__}: {refusal}")
+                else:
+                    payload["status"] = "time_limit"
+                    job.degraded = payload["degraded"]
+                    self._finish_job(job, plan=payload)
             else:
                 self._finish_job(job, error=str(exc))
         except Exception as exc:  # noqa: BLE001 - a worker must never die

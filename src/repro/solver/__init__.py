@@ -19,7 +19,6 @@ from .model import (
     ObjectiveSense,
     compile_cache_stats,
     reset_compile_cache,
-    reset_compile_cache_stats,
 )
 from .result import SolverResult, SolverStatus
 from .telemetry import Deadline, EventRecorder, SolveEvent, Telemetry
@@ -43,7 +42,6 @@ __all__ = [
     "ObjectiveSense",
     "compile_cache_stats",
     "reset_compile_cache",
-    "reset_compile_cache_stats",
     "SolverResult",
     "SolverStatus",
     "Deadline",

@@ -40,7 +40,6 @@ class TestRunFleetBench:
         assert rec["plan"]["total_cost"] > 0
         assert sum(rec["plan"]["methods"].values()) == 20
         assert 0.0 <= rec["plan"]["escalation_fraction"] <= 1.0
-        assert 0.0 <= rec["plan"]["shape_hit_rate"] <= 1.0
         assert rec["feasibility"]["feasible"] is True
 
     def test_cohort_ratio_is_a_valid_upper_bound(self, record):
@@ -61,7 +60,7 @@ class TestRunFleetBench:
     def test_summary_lines(self, record):
         rec, _ = record
         lines = fleet_summary_lines(rec)
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert any("tenants" in line for line in lines)
 
     def test_config_validation(self):
@@ -98,14 +97,6 @@ class TestCheckFleetRegression:
         bad = copy.deepcopy(rec)
         bad["cohort"]["cost_ratio_mean"] = 1.045  # under the absolute ceiling
         assert any("regressed" in f for f in check_record(bad, base))
-
-    def test_shape_hit_rate_regression_fails(self, record):
-        rec, _ = record
-        base = copy.deepcopy(rec)
-        base["plan"]["shape_hit_rate"] = 0.9
-        bad = copy.deepcopy(rec)
-        bad["plan"]["shape_hit_rate"] = 0.2
-        assert any("shape-cache" in f for f in check_record(bad, base))
 
     def test_escalation_collapse_fails(self, record):
         rec, _ = record

@@ -65,9 +65,9 @@ class TestRuleEdges:
         ]
 
     def test_baseline_rows_skip_without_a_baseline(self):
-        fleet = copy.deepcopy(_committed("BENCH_fleet.json"))
-        fleet["plan"]["shape_hit_rate"] = 0.0  # a FACTOR row: needs a baseline
-        assert check_record(fleet) == []
+        solver = copy.deepcopy(_committed("BENCH_solver.json"))
+        solver["bb"]["warm"]["warm_hit_rate"] = 0.0  # a FACTOR row: needs a baseline
+        assert check_record(solver) == []
 
     def test_band_skips_around_a_zero_baseline(self):
         base = copy.deepcopy(_committed("BENCH_fleet.json"))

@@ -125,6 +125,18 @@ class TestDRRPSolutions:
         assert a.total_cost == pytest.approx(c.total_cost, abs=1e-5)
 
 
+    def test_validate_checks_the_bottleneck_row(self):
+        demand = np.array([0.4, 0.5, 0.3])
+        free = make_instance(demand)
+        capped = make_instance(demand, bottleneck_rate=2.0,
+                               bottleneck_capacity=np.array([10.0, 0.0, 0.6]))
+        plan = solve_noplan(free)  # generates 0.5 in slot 1, 0.3 in slot 2
+        plan.validate(free)
+        with pytest.raises(AssertionError, match="bottleneck capacity exceeded at t=1"):
+            plan.validate(capped)
+        solve_drrp(capped).validate(capped)
+
+
 class TestNoPlanBaseline:
     def test_noplan_never_cheaper_than_drrp(self):
         for seed in range(5):

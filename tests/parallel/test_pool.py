@@ -113,7 +113,13 @@ class TestSharedExecutor:
         return child, json.loads(payload)
 
     def test_forked_child_builds_its_own_pool(self):
-        parent_workers = set(parallel_map(pid_of, range(8), n_workers=2, chunksize=1))
+        from repro.parallel import pool
+
+        parallel_map(pid_of, range(8), n_workers=2, chunksize=1)
+        # Read the workers off the pool: one of them may have answered
+        # all 8 tasks, so the answers need not name both.
+        parent_workers = set(pool._executor._processes)
+        assert len(parent_workers) == 2
         child, pairs = self._run_in_forked_child()
         assert len(pairs) == 8
         assert {ppid for _, ppid in pairs} == {child}

@@ -61,6 +61,34 @@ def wait_done(service, job_id, timeout=30.0):
     return job
 
 
+def knocked_payload(capacity=(10.0, 0.0, 10.0, 0.0, 10.0, 10.0)):
+    """Six slots, bottleneck rate 1; the default capacity knocks slots 1 and
+    3 out and cannot bind elsewhere.  No-plan would generate 0.5 and 0.6
+    in the knocked slots (12.528); the exact plan costs 11.328."""
+    T = 6
+    return {"kind": "drrp", "instance": {
+        "demand": [0.4, 0.5, 0.3, 0.6, 0.2, 0.4],
+        "costs": {"compute": [2.0] * T, "storage": [3.0] * T, "io": [0.2] * T,
+                  "transfer_in": [0.1] * T, "transfer_out": [0.17] * T},
+        "phi": 0.5, "vm_name": "k",
+        "bottleneck_rate": 1.0, "bottleneck_capacity": list(capacity)}}
+
+
+def assert_exact_and_within_caps(plan, payload):
+    from repro.core import RentalPlan, solve_drrp
+    from repro.service.encoding import build_instance, normalize_request
+    from repro.solver import SolverStatus
+
+    instance = build_instance(normalize_request(payload))
+    RentalPlan.priced(instance, np.array(plan["alpha"]), np.array(plan["beta"]),
+                      np.array(plan["chi"], dtype=float)).validate(instance)
+    assert plan["alpha"][1] == plan["alpha"][3] == 0.0
+    exact = solve_drrp(instance, backend="simplex")
+    assert exact.status is SolverStatus.OPTIMAL
+    assert plan["total_cost"] == pytest.approx(exact.objective, abs=1e-9)
+    assert plan["total_cost"] == pytest.approx(11.328, abs=1e-9)
+
+
 class TestServiceCore:
     def test_solve_then_cache_hit(self, service):
         status, body = service.submit(DRRP)
@@ -153,6 +181,54 @@ class TestServiceCore:
         assert job.plan["alpha"]  # a real schedule, not an error
         # and it must not be cached as an optimum
         assert len(service.cache) == 0
+
+    def test_degraded_knocked_request_keeps_its_caps(self):
+        with PlanningService(ServiceConfig(workers=0, queue_size=1)) as svc:
+            svc.submit(other(91))
+            status, body = svc.submit({**knocked_payload(), "on_overload": "degrade"})
+            assert status == 200
+            assert body["plan"]["degraded"] == "wagner-whitin"
+            assert_exact_and_within_caps(body["plan"], knocked_payload())
+
+    def test_degraded_knocked_request_keeps_its_caps_after_the_deadline(self, monkeypatch):
+        from repro.service import executor
+
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("solver gave up")
+
+        monkeypatch.setattr(executor, "execute_request", no_solve)
+        with PlanningService(ServiceConfig(workers=1)) as svc:
+            _, body = svc.submit({**knocked_payload(), "time_limit": 1e-9})
+            job = wait_done(svc, body["job"]["id"])
+            assert job.state.value == "done"
+            assert job.plan["status"] == "time_limit"
+            assert job.plan["degraded"] == "wagner-whitin"
+            assert_exact_and_within_caps(job.plan, knocked_payload())
+
+    def test_overload_refuses_when_no_plan_breaks_a_cap(self):
+        binding = knocked_payload(capacity=[0.45] * 6)  # 0.5 and 0.6 exceed it
+        with PlanningService(ServiceConfig(workers=0, queue_size=1)) as svc:
+            svc.submit(other(92))
+            status, body = svc.submit({**binding, "on_overload": "degrade"})
+            assert status == 429
+            assert body["degrade_refused"] is True
+            assert "capacity" in body["error"] and body["retry_after"] > 0
+            assert svc.registry.counter("service_degrade_refused").value == 1
+            assert svc.registry.counter("service_degraded").value == 0
+            assert len(svc.cache) == 0
+
+    def test_deadline_refusal_fails_the_job_and_the_worker_lives(self):
+        # Slot 0 is knocked out but carries the first net demand: the
+        # exact DP and the degraded path both find no plan.
+        infeasible = knocked_payload(capacity=[0.0] + [10.0] * 5)
+        with PlanningService(ServiceConfig(workers=1)) as svc:
+            _, body = svc.submit({**infeasible, "time_limit": 1e-9})
+            job = wait_done(svc, body["job"]["id"])
+            assert job.state.value == "failed"
+            assert job.error.startswith("DegradeRefused: ")
+            assert svc.registry.counter("service_degrade_refused").value == 1
+            _, body = svc.submit(other(93))  # the one worker still serves
+            assert wait_done(svc, body["job"]["id"]).plan["status"] == "optimal"
 
     def test_bad_request_is_400(self, service):
         status, body = service.submit({"kind": "bogus"})

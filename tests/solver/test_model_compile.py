@@ -1,7 +1,8 @@
-"""Model.compile() memoization: invalidation, shape sharing, no aliasing."""
+"""Model.compile(): fresh arrays per call, edits show, rows fold to <= form."""
 
 import numpy as np
 
+from repro.solver import compile_cache_stats, reset_compile_cache
 from repro.solver.model import Model
 
 
@@ -14,63 +15,42 @@ def _toy_model(rhs=4.0):
     return m
 
 
-class TestInstanceCache:
-    def test_second_compile_is_cached(self):
-        m = _toy_model()
-        p1 = m.compile()
-        p2 = m.compile()
-        assert p1 is not p2  # defensive copies, never the same object
-        assert np.array_equal(p1.c, p2.c)
-        assert np.array_equal(p1.A_ub, p2.A_ub)
-
-    def test_mutation_invalidates(self):
+class TestCompileCorrectness:
+    def test_mutation_shows_on_recompile(self):
         m = _toy_model()
         p1 = m.compile()
         z = m.add_var("z", lb=0.0, ub=1.0)
         m.set_objective(-z)
+        m.add_constr(m.variables[0] <= 1.5)
         p2 = m.compile()
         assert p2.num_vars == p1.num_vars + 1
+        assert p2.num_constraints == p1.num_constraints + 1
         assert p2.c[-1] == -1.0
 
-    def test_add_constr_invalidates(self):
+    def test_compiles_never_alias_arrays(self):
+        # Callers mutate compiled arrays in place (branching, presolve):
+        # neither a recompile of the same model nor a compile of an equal
+        # model may share them.
         m = _toy_model()
         p1 = m.compile()
-        x = m.variables[0]
-        m.add_constr(x <= 1.5)
-        p2 = m.compile()
-        assert p2.num_constraints == p1.num_constraints + 1
-
-    def test_returned_arrays_are_not_aliased(self):
-        m = _toy_model()
-        p1 = m.compile()
+        for p2 in (m.compile(), _toy_model().compile()):
+            assert p1 is not p2
+            for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "integrality"):
+                assert not np.shares_memory(getattr(p1, name), getattr(p2, name))
         p1.c[:] = 999.0
         p1.A_ub[:] = 999.0
         p1.b_ub[:] = 999.0
         p2 = m.compile()
-        assert not np.array_equal(p1.c, p2.c)
         assert p2.c[0] == -1.0
+        assert p2.A_ub[0, 0] == 1.0 and p2.b_ub[0] == 4.0
 
-
-class TestSharedShapeCache:
-    def test_structurally_equal_models_share_compilation(self):
-        # Two distinct Model instances with identical structure share the
-        # module-level shape cache; results must still be independent.
-        a = _toy_model().compile()
-        b = _toy_model().compile()
-        assert np.array_equal(a.c, b.c)
-        assert np.array_equal(a.A_ub, b.A_ub)
-        b.c[:] = 7.0
-        assert a.c[0] == -1.0
-
-    def test_different_rhs_do_not_collide(self):
+    def test_values_come_from_each_model(self):
         a = _toy_model(rhs=4.0).compile()
         b = _toy_model(rhs=9.0).compile()
         assert a.b_ub[0] == 4.0
         assert b.b_ub[0] == 9.0
 
-    def test_names_do_not_affect_shared_compilation(self):
-        # Variable names differ but structure matches: sharing is allowed,
-        # and the variables list on each result is the owner's.
+    def test_each_result_carries_its_own_variables(self):
         m1 = Model("a")
         v1 = m1.add_var("first", lb=0.0, ub=1.0)
         m1.set_objective(v1)
@@ -82,8 +62,6 @@ class TestSharedShapeCache:
         assert p1.variables[0].name == "first"
         assert p2.variables[0].name == "second"
 
-
-class TestCompileCorrectness:
     def test_ge_rows_fold_to_ub_form(self):
         m = Model()
         x = m.add_var("x", lb=0.0, ub=5.0)
@@ -98,11 +76,24 @@ class TestCompileCorrectness:
         assert rows[(-1.0, -1.0)] == -2.0
         assert rows[(1.0, -1.0)] == 1.0
 
-    def test_solution_unchanged_by_caching(self):
+    def test_recompile_solves_the_same(self):
         from repro.solver import SolverStatus, solve
 
         m = _toy_model()
         r1 = solve(m, backend="simplex")
-        r2 = solve(m, backend="simplex")  # cached compile
+        r2 = solve(m, backend="simplex")
         assert r1.status is SolverStatus.OPTIMAL
         assert r1.objective == r2.objective
+
+
+def test_counter_reports_every_compile_as_a_full_build():
+    reset_compile_cache()
+    m = _toy_model()
+    m.compile()
+    m.compile()
+    _toy_model().compile()
+    assert compile_cache_stats() == {
+        "compiles": 3, "instance_hits": 0, "shape_hits": 0, "full_builds": 3,
+    }
+    reset_compile_cache()
+    assert compile_cache_stats()["compiles"] == 0
