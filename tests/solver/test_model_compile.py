@@ -15,34 +15,56 @@ def _toy_model(rhs=4.0):
     return m
 
 
+_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "integrality")
+
+
 class TestCompileCorrectness:
-    def test_mutation_shows_on_recompile(self):
+    def test_new_variable_shows_on_recompile(self):
         m = _toy_model()
         p1 = m.compile()
         z = m.add_var("z", lb=0.0, ub=1.0)
         m.set_objective(-z)
-        m.add_constr(m.variables[0] <= 1.5)
         p2 = m.compile()
         assert p2.num_vars == p1.num_vars + 1
-        assert p2.num_constraints == p1.num_constraints + 1
         assert p2.c[-1] == -1.0
 
-    def test_compiles_never_alias_arrays(self):
-        # Callers mutate compiled arrays in place (branching, presolve):
-        # neither a recompile of the same model nor a compile of an equal
-        # model may share them.
+    def test_added_constraint_shows_on_recompile(self):
         m = _toy_model()
         p1 = m.compile()
-        for p2 in (m.compile(), _toy_model().compile()):
-            assert p1 is not p2
-            for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "integrality"):
-                assert not np.shares_memory(getattr(p1, name), getattr(p2, name))
+        m.add_constr(m.variables[0] <= 1.5)
+        p2 = m.compile()
+        assert p2.num_constraints == p1.num_constraints + 1
+        assert p2.b_ub[-1] == 1.5
+
+    def test_recompile_is_a_fresh_equal_problem(self):
+        # Callers mutate compiled arrays in place (branching, presolve), so
+        # a recompile must equal the first compile without sharing memory.
+        m = _toy_model()
+        p1 = m.compile()
+        p2 = m.compile()
+        assert p1 is not p2
+        for name in _ARRAYS:
+            assert np.array_equal(getattr(p1, name), getattr(p2, name))
+            assert not np.shares_memory(getattr(p1, name), getattr(p2, name))
+
+    def test_mutating_a_compile_leaves_the_next_intact(self):
+        m = _toy_model()
+        p1 = m.compile()
         p1.c[:] = 999.0
         p1.A_ub[:] = 999.0
         p1.b_ub[:] = 999.0
         p2 = m.compile()
         assert p2.c[0] == -1.0
         assert p2.A_ub[0, 0] == 1.0 and p2.b_ub[0] == 4.0
+
+    def test_equal_models_compile_to_independent_arrays(self):
+        a = _toy_model().compile()
+        b = _toy_model().compile()
+        for name in _ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        b.c[:] = 7.0
+        assert a.c[0] == -1.0
 
     def test_values_come_from_each_model(self):
         a = _toy_model(rhs=4.0).compile()
@@ -86,14 +108,29 @@ class TestCompileCorrectness:
         assert r1.objective == r2.objective
 
 
-def test_counter_reports_every_compile_as_a_full_build():
+def test_every_compile_is_a_full_build():
     reset_compile_cache()
     m = _toy_model()
     m.compile()
     m.compile()
+    other = Model("other")
+    x = other.add_var("x", lb=0.0)
+    other.add_constr(x <= 3.0)
+    other.set_objective(x)
+    other.compile()
+    stats = compile_cache_stats()
+    assert stats["compiles"] == 3
+    assert stats["full_builds"] == 3
+
+
+def test_counter_reports_no_cache_hits_and_resets():
+    reset_compile_cache()
+    _toy_model().compile()
     _toy_model().compile()
     assert compile_cache_stats() == {
-        "compiles": 3, "instance_hits": 0, "shape_hits": 0, "full_builds": 3,
+        "compiles": 2, "instance_hits": 0, "shape_hits": 0, "full_builds": 2,
     }
     reset_compile_cache()
-    assert compile_cache_stats()["compiles"] == 0
+    assert compile_cache_stats() == {
+        "compiles": 0, "instance_hits": 0, "shape_hits": 0, "full_builds": 0,
+    }
