@@ -7,7 +7,6 @@ relaxation still explores thousands of B&B nodes at 24 h — quantifying
 that gap is the point of the ablation):
 
 * ``scipy``        — HiGHS branch-and-cut (the default);
-* ``bb-scipy``     — our branch-and-bound over HiGHS LP relaxations;
 * ``simplex``      — fully from-scratch (pure-Python simplex + B&B);
 * ``simplex+cuts`` — the same with Gomory root cuts.
 """
@@ -31,7 +30,7 @@ def make_instance(seed=11, horizon=12):
 REFERENCE = {}
 
 
-@pytest.mark.parametrize("backend", ["scipy", "bb-scipy", "simplex", "simplex+cuts"])
+@pytest.mark.parametrize("backend", ["scipy", "simplex", "simplex+cuts"])
 def test_bench_solver_backend(benchmark, backend):
     inst = make_instance()
     plan = benchmark.pedantic(

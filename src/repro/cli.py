@@ -78,6 +78,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.encoding import BACKENDS
+
+    backend_help = "solver backend: " + " | ".join(BACKENDS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Resource rental planning for elastic cloud applications (IPDPS'12 reproduction)",
@@ -92,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--demand-std", type=float, default=0.2, help="GB/h demand std")
     p_plan.add_argument(
         "--backend", default="auto",
-        help="solver backend: auto | simplex | simplex+cuts | scipy | bb-scipy",
+        help=backend_help,
     )
     p_plan.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
@@ -126,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--backend", default=None,
-        help="solver backend: auto | simplex | simplex+cuts | scipy | bb-scipy",
+        help=backend_help,
     )
     p_run.add_argument(
         "--trials", type=int, default=None,
@@ -285,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--seed", type=int, default=0, help="demand seed")
     p_sub.add_argument("--demand-mean", type=float, default=0.4, help="GB/h demand mean")
     p_sub.add_argument("--demand-std", type=float, default=0.2, help="GB/h demand std")
-    p_sub.add_argument("--backend", default="auto",
-                       help="solver backend: auto | simplex | simplex+cuts | scipy | bb-scipy")
+    p_sub.add_argument("--backend", default="auto", help=backend_help)
     p_sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
                        help="per-job budget (server default when unset)")
     p_sub.add_argument("--wait-s", type=float, default=60.0,

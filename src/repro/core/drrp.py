@@ -401,7 +401,7 @@ def solve_drrp(
             time_limit=solve_kwargs.get("time_limit"),
         )
     model, vars_ = build_drrp_model(instance)
-    if warm_start and instance.bottleneck_rate is None and backend in ("bb-scipy", "simplex", "simplex+cuts"):
+    if warm_start and instance.bottleneck_rate is None and backend in ("simplex", "simplex+cuts"):
         from .lotsizing import solve_wagner_whitin
         from repro.solver import BranchAndBoundOptions
 

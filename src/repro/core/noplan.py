@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.solver.result import SolverStatus
+
 from .drrp import DRRPInstance, RentalPlan
 
 __all__ = ["solve_noplan"]
@@ -21,10 +23,13 @@ def solve_noplan(instance: DRRPInstance) -> RentalPlan:
 
     Initial storage (ε) is drawn down greedily before any generation, so the
     baseline is not charged for demand the inventory already covers: each
-    slot generates its ε-netted demand, and only ε is ever held.
+    slot generates its ε-netted demand, and only ε is ever held.  The plan
+    is feasible, not optimal, so its status is ``FEASIBLE``.
     """
     need = instance.net_demand
     chi = (need > 1e-12).astype(float)
     alpha = np.where(chi > 0, need, 0.0)
     beta = instance.inventory(np.zeros(instance.horizon))
-    return RentalPlan.priced(instance, alpha, beta, chi, extra={"scheme": "no-plan"})
+    return RentalPlan.priced(
+        instance, alpha, beta, chi, status=SolverStatus.FEASIBLE, extra={"scheme": "no-plan"}
+    )

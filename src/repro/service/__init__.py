@@ -12,46 +12,40 @@ the solver stack (numpy/scipy) loads lazily on the first solve.  See
 ``docs/service.md`` for the API and operational semantics.
 """
 
-from .cache import PlanCache
-from .client import (
-    ReplanPolicy,
-    Saturated,
-    ServiceClient,
-    ServiceError,
-    SubmitResult,
-    drrp_payload,
-)
-from .encoding import (
-    BadRequest,
-    build_instance,
-    normalize_request,
-    plan_payload,
-    request_digest,
-)
-from .jobs import Job, JobState, JobStore
-from .loadgen import LoadgenConfig, run_loadgen
-from .server import PlanningHTTPServer, PlanningService, ServiceConfig, serve
+import importlib
 
-__all__ = [
-    "BadRequest",
-    "Job",
-    "JobState",
-    "JobStore",
-    "LoadgenConfig",
-    "PlanCache",
-    "PlanningHTTPServer",
-    "PlanningService",
-    "ReplanPolicy",
-    "Saturated",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "SubmitResult",
-    "build_instance",
-    "drrp_payload",
-    "normalize_request",
-    "plan_payload",
-    "request_digest",
-    "run_loadgen",
-    "serve",
-]
+# Public name -> defining submodule, imported on first access.  Importing
+# any submodule runs this file first, so it imports none itself: the CLI
+# reading ``encoding.BACKENDS`` or a process using only the client would
+# otherwise pay for the HTTP server and client stacks too.
+_EXPORTS = {
+    "PlanCache": "cache",
+    "ReplanPolicy": "client",
+    "Saturated": "client",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "SubmitResult": "client",
+    "drrp_payload": "client",
+    "BadRequest": "encoding",
+    "build_instance": "encoding",
+    "normalize_request": "encoding",
+    "plan_payload": "encoding",
+    "request_digest": "encoding",
+    "Job": "jobs",
+    "JobState": "jobs",
+    "JobStore": "jobs",
+    "LoadgenConfig": "loadgen",
+    "run_loadgen": "loadgen",
+    "PlanningHTTPServer": "server",
+    "PlanningService": "server",
+    "ServiceConfig": "server",
+    "serve": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

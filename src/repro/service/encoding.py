@@ -56,7 +56,7 @@ __all__ = [
 KINDS = ("drrp", "srrp", "fleet")
 # A copy of repro.solver.BACKENDS (importing it would pull in numpy);
 # tests/service/test_encoding.py keeps the two equal.
-BACKENDS = ("auto", "simplex", "simplex+cuts", "scipy", "bb-scipy")
+BACKENDS = ("auto", "simplex", "simplex+cuts", "scipy")
 OVERLOAD_MODES = ("reject", "degrade")
 
 _COST_FIELDS = ("compute", "storage", "io", "transfer_in", "transfer_out")

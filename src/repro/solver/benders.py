@@ -18,19 +18,19 @@ Subproblems are made *relatively complete* by elastic slacks: each recourse
 row gets a pair of penalty columns at ``infeasibility_penalty``, so every
 master trial point yields a bounded dual and a valid optimality cut; a
 genuinely infeasible second stage surfaces as a huge recourse cost, which the
-master then prices out.  This keeps the implementation free of Farkas-ray
-extraction (which HiGHS does not expose through scipy).
+master then prices out.  This keeps the implementation free of feasibility
+cuts (Farkas-ray extraction).
 
 Scenario subproblems are independent given the master trial point, so they
 fan out through :func:`repro.parallel.parallel_map`
 (``BendersOptions.n_workers``; the pool's nested-fork guard keeps service
-workers serial) and, on the default ``subproblem_backend="simplex"``, each
-scenario re-solves from its previous iteration's optimal basis — across
-L-shaped iterations only the right-hand side ``h - T x`` moves, so the old
-basis is typically dual feasible and a handful of dual-simplex pivots
-replace a full two-phase solve (the exported basis also carries the
-factor-inverse hint, so the re-solve skips refactorization too).  ``subproblem_backend="scipy"`` keeps the legacy
-HiGHS path (no warm starts; duals read off marginals).
+workers serial).  Each runs on the bounded-variable simplex and re-solves
+from its previous iteration's optimal basis — across L-shaped iterations
+only the right-hand side ``h - T x`` moves, so the old basis is typically
+dual feasible and a handful of dual-simplex pivots replace a full
+two-phase solve (the exported basis also carries the factor-inverse hint,
+so the re-solve skips refactorization too).  Duals are read off the
+simplex's dual certificate.
 """
 
 from __future__ import annotations
@@ -117,18 +117,14 @@ class BendersOptions:
     ``n_workers`` controls the scenario fan-out: ``1`` (default) solves
     subproblems in-process, ``None`` asks :func:`repro.parallel.default_workers`,
     any other value is used as given (clamped to the scenario count by the
-    pool).  ``subproblem_backend`` is ``"simplex"`` (bounded-variable
-    simplex with per-scenario basis warm starts) or ``"scipy"`` (legacy
-    HiGHS, cold every iteration).
+    pool).  The wall-clock limit is the ``deadline`` argument of
+    :func:`solve_benders`.
     """
 
     max_iterations: int = 200
     tolerance: float = 1e-6
     infeasibility_penalty: float = 1e6
-    verbose: bool = False
-    time_limit: float = math.inf
     n_workers: int | None = 1
-    subproblem_backend: str = "simplex"
 
 
 @dataclass
@@ -138,43 +134,6 @@ class _SubSolve:
     y: np.ndarray
     mu: np.ndarray        # upper-bound duals of the y columns (>= 0)
     bound_term: float     # mu @ y_ub over the finite bounds
-
-
-def _solve_subproblem(s: Scenario, x: np.ndarray, penalty: float) -> _SubSolve:
-    """Elastic recourse LP: min q'y + penalty·(u+v) s.t. W y + u - v == h - T x."""
-    try:
-        from scipy import optimize as sciopt
-    except ImportError as exc:  # pragma: no cover - exercised in scipy-less CI
-        raise ImportError(
-            "solve_benders subproblems require scipy (dual multipliers are "
-            "read off HiGHS); install scipy or solve the extensive form with "
-            "backend='simplex'"
-        ) from exc
-    m, ny = s.W.shape
-    rhs = s.h - s.T @ x
-    A_eq = np.hstack([s.W, np.eye(m), -np.eye(m)])
-    cost = np.concatenate([s.q, np.full(2 * m, penalty)])
-    if s.y_ub is None:
-        bounds = [(0, None)] * (ny + 2 * m)
-    else:
-        bounds = [(0, float(u) if np.isfinite(u) else None) for u in s.y_ub] + [(0, None)] * (2 * m)
-    res = sciopt.linprog(cost, A_eq=A_eq, b_eq=rhs, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"elastic subproblem unsolved (status {res.status}): {res.message}")
-    dual = np.asarray(res.eqlin.marginals, dtype=float)
-    # Finite y upper bounds contribute their own dual term: the recourse dual
-    # is max dual'rhs - mu'u s.t. dual'W - mu <= q, mu >= 0, so an optimality
-    # cut built from `dual` alone would overshoot whenever a bound binds.
-    mu = np.zeros(ny)
-    if s.y_ub is not None:
-        upper = getattr(res, "upper", None)
-        marg = None if upper is None else getattr(upper, "marginals", None)
-        if marg is not None:
-            mu = np.maximum(-np.asarray(marg, dtype=float)[:ny], 0.0)
-    finite = s.y_ub is not None and np.isfinite(np.asarray(s.y_ub, dtype=float))
-    bound_term = float(mu[finite] @ np.asarray(s.y_ub, dtype=float)[finite]) if s.y_ub is not None else 0.0
-    return _SubSolve(value=float(res.fun), dual=dual, y=np.asarray(res.x[:ny]),
-                     mu=mu, bound_term=bound_term)
 
 
 def _subproblem_lp(s: Scenario, x: np.ndarray, penalty: float) -> CompiledProblem:
@@ -194,7 +153,7 @@ def _subproblem_lp(s: Scenario, x: np.ndarray, penalty: float) -> CompiledProble
     )
 
 
-def _solve_subproblem_simplex(
+def _solve_subproblem(
     s: Scenario,
     x: np.ndarray,
     penalty: float,
@@ -217,8 +176,7 @@ def _solve_subproblem_simplex(
     cert = res.extra.get("dual_certificate") if res.status is SolverStatus.OPTIMAL else None
     if cert is None:
         raise RuntimeError(
-            f"elastic subproblem unsolved by simplex (status {res.status.value}); "
-            "try BendersOptions(subproblem_backend='scipy')"
+            f"elastic subproblem unsolved by simplex (status {res.status.value})"
         )
     m, ny = s.W.shape
     # The certificate convention is r = c + A_eq' y_eq (see repro.verify),
@@ -247,19 +205,17 @@ def _solve_subproblem_simplex(
 def _sub_task(item):
     """Picklable per-scenario task for :func:`repro.parallel.parallel_map`.
 
-    ``item`` is ``(scenario, x, penalty, remaining_seconds, warm_basis,
-    backend)``; the deadline is re-materialized from the remaining budget so
-    the tuple survives the process boundary.  Returns ``(sub, basis,
-    warm_used, elapsed_seconds)`` — the in-worker solve time measured here,
-    where it is real compute rather than fan-out overhead — or ``None``
-    when the deadline expired inside the solve.
+    ``item`` is ``(scenario, x, penalty, remaining_seconds, warm_basis)``;
+    the deadline is re-materialized from the remaining budget so the tuple
+    survives the process boundary.  Returns ``(sub, basis, warm_used,
+    elapsed_seconds)`` — the in-worker solve time measured here, where it
+    is real compute rather than fan-out overhead — or ``None`` when the
+    deadline expired inside the solve.
     """
-    s, x, penalty, remaining, warm, backend = item
+    s, x, penalty, remaining, warm = item
     t0 = perf_counter()
-    if backend == "scipy":
-        return _solve_subproblem(s, x, penalty), None, False, perf_counter() - t0
     dl = Deadline(max(0.0, remaining)) if math.isfinite(remaining) else None
-    out = _solve_subproblem_simplex(
+    out = _solve_subproblem(
         s, x, penalty, deadline=dl, warm=warm, telemetry=current_telemetry()
     )
     if out is None:
@@ -286,7 +242,7 @@ def _master_problem(p: TwoStageProblem, theta_lb: float) -> CompiledProblem:
 def solve_benders(
     problem: TwoStageProblem,
     options: BendersOptions | None = None,
-    backend: str = "scipy",
+    backend: str = "auto",
     deadline: Deadline | None = None,
     listener=None,
 ) -> SolverResult:
@@ -296,15 +252,17 @@ def solve_benders(
     and ``extra`` carries per-scenario recourse values, cut counts, and the
     iteration trace (useful for the decomposition ablation bench).
 
-    The shared ``deadline`` (or ``options.time_limit``) is polled at the
-    top of every master iteration and threaded into the master MILP solve;
-    on expiry the best first-stage incumbent is returned with status
-    ``FEASIBLE`` (``TIME_LIMIT`` when no iteration completed).  Each
-    iteration emits a ``benders_iteration`` telemetry event.
+    ``backend`` solves the master (see :mod:`repro.solver.interface`);
+    the subproblems always run on the simplex.  The shared ``deadline``
+    is polled at the top of every master iteration and threaded into the
+    master MILP solve; on expiry the best first-stage incumbent is
+    returned with status ``FEASIBLE`` (``TIME_LIMIT`` when no iteration
+    completed).  Each iteration emits a ``benders_iteration`` telemetry
+    event.
     """
     opts = options or BendersOptions()
     telemetry = Telemetry.from_listener(listener)
-    dl = Deadline(opts.time_limit) if deadline is None else deadline.tightened(opts.time_limit)
+    dl = Deadline.never() if deadline is None else deadline
     S = len(problem.scenarios)
     n = problem.num_x
 
@@ -370,8 +328,7 @@ def solve_benders(
         lower = float(problem.c @ x + thetas.sum())
 
         items = [
-            (s, x, opts.infeasibility_penalty, dl.remaining(), sub_bases[si],
-             opts.subproblem_backend)
+            (s, x, opts.infeasibility_penalty, dl.remaining(), sub_bases[si])
             for si, s in enumerate(problem.scenarios)
         ]
         if telemetry:
@@ -414,8 +371,6 @@ def solve_benders(
                 iteration=it, lower=lower, upper=best_upper,
                 gap=gap, cuts=len(cuts_rows),
             )
-        if opts.verbose:
-            print(f"[benders] it={it} lower={lower:.6f} upper={best_upper:.6f} cuts={len(cuts_rows)}")
         # `lower` is only a valid global bound when the master solved to
         # optimality — a deadline-truncated FEASIBLE master must not let the
         # gap test declare a false OPTIMAL.

@@ -60,16 +60,13 @@ class BranchAndBoundOptions:
     ----------
     rel_gap:
         Stop when ``(incumbent - bound)/max(1, |incumbent|)`` falls below.
-    node_limit / time_limit:
-        Hard work limits; the best incumbent (if any) is returned with
-        status ``FEASIBLE``.
+    node_limit:
+        Hard work limit; the best incumbent (if any) is returned with
+        status ``FEASIBLE``.  The wall-clock limit is the ``deadline``
+        argument of :func:`branch_and_bound`.
     use_root_cuts:
         Add Gomory fractional cuts at the root node (requires the pure
         simplex backend, which exposes its final tableau).
-    max_root_cut_rounds:
-        Number of cut-generation rounds at the root.
-    rounding_heuristic:
-        Try rounding each LP-fractional point to a feasible incumbent.
     warm_start_lps:
         Re-solve child LP relaxations from the parent node's optimal basis
         when the LP backend supports it (``lp_solver`` accepts a
@@ -86,10 +83,7 @@ class BranchAndBoundOptions:
 
     rel_gap: float = 1e-7
     node_limit: int = 200_000
-    time_limit: float = math.inf
     use_root_cuts: bool = False
-    max_root_cut_rounds: int = 5
-    rounding_heuristic: bool = True
     warm_start_lps: bool = True
     initial_incumbent: np.ndarray | None = None
 
@@ -141,7 +135,6 @@ def branch_and_bound(
         Shared wall-clock budget.  Checked at the top of the node loop
         *and between child LP solves*, so two slow child relaxations can
         overrun the budget by at most one LP solve, not a whole node.
-        Merged with ``options.time_limit`` (whichever is sooner wins).
     telemetry:
         Optional event hub receiving node open/close/prune, incumbent,
         and deadline events.
@@ -149,15 +142,13 @@ def branch_and_bound(
     opts = options or BranchAndBoundOptions()
     int_mask = problem.integrality.astype(bool)
 
-    dl = Deadline(opts.time_limit) if deadline is None else deadline.tightened(opts.time_limit)
+    dl = Deadline.never() if deadline is None else deadline
 
     work = problem
     if opts.use_root_cuts:
         from .cuts import strengthen_with_gomory_cuts
 
-        work = strengthen_with_gomory_cuts(
-            work, max_rounds=opts.max_root_cut_rounds, deadline=dl, telemetry=telemetry
-        )
+        work = strengthen_with_gomory_cuts(work, deadline=dl, telemetry=telemetry)
 
     # Relaxation template: integrality cleared, bounds replaced per node.
     counter = itertools.count()  # heap tie-breaker
@@ -368,12 +359,11 @@ def branch_and_bound(
                 set_incumbent(bound, x_lp, "lp_integral")
             continue
 
-        if opts.rounding_heuristic:
-            rounded = _try_rounding(work, x_lp, int_mask)
-            if rounded is not None:
-                obj_r = internal_obj(rounded)
-                if obj_r < incumbent_obj:
-                    set_incumbent(obj_r, rounded, "rounding")
+        rounded = _try_rounding(work, x_lp, int_mask)
+        if rounded is not None:
+            obj_r = internal_obj(rounded)
+            if obj_r < incumbent_obj:
+                set_incumbent(obj_r, rounded, "rounding")
 
         j = _select_branch_var(x_lp, candidates, work.c)
         floor_val = math.floor(x_lp[j] + _INT_TOL)

@@ -18,9 +18,6 @@ the backend string picks the engine:
     Same, with Gomory mixed-integer cuts at the root.
 ``"scipy"``
     ``scipy.optimize.linprog`` / ``scipy.optimize.milp`` (HiGHS).
-``"bb-scipy"``
-    Our branch-and-bound driver over HiGHS LP relaxations — used by the
-    solver ablation benchmark to time the B&B machinery itself.
 
 Every entry point additionally accepts
 
@@ -51,7 +48,7 @@ from .telemetry import Deadline, Telemetry
 
 __all__ = ["solve", "solve_compiled", "BACKENDS"]
 
-BACKENDS = ("auto", "simplex", "simplex+cuts", "scipy", "bb-scipy")
+BACKENDS = ("auto", "simplex", "simplex+cuts", "scipy")
 
 
 def _degrade(telemetry: Telemetry | None, from_backend: str, to_backend: str, reason: str) -> None:
@@ -84,17 +81,6 @@ def _dispatch(
         if is_mip:
             return solve_milp_scipy(problem, deadline=deadline, telemetry=telemetry, **backend_kwargs)
         return solve_lp_scipy(problem, deadline=deadline, telemetry=telemetry, **backend_kwargs)
-
-    if backend == "bb-scipy":
-        if not is_mip:
-            return solve_lp_scipy(problem, deadline=deadline, telemetry=telemetry, **backend_kwargs)
-        return branch_and_bound(
-            problem,
-            lambda p: solve_lp_scipy(p, deadline=deadline),
-            options=bb_options,
-            deadline=deadline,
-            telemetry=telemetry,
-        )
 
     # pure-python stack
     if not is_mip:

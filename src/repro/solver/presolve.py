@@ -16,7 +16,6 @@ faster) and for branch-and-bound (tighter binary bounds prune earlier):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -63,8 +62,8 @@ def _activity_bounds(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> tuple[f
     return lo, hi
 
 
-def presolve(problem: CompiledProblem, max_passes: int = 4) -> PresolveResult:
-    """Apply the reduction loop until a fixed point or ``max_passes``."""
+def presolve(problem: CompiledProblem) -> PresolveResult:
+    """Apply the reduction loop until a fixed point or four passes."""
     lb = problem.lb.copy()
     ub = problem.ub.copy()
     A_ub = problem.A_ub.copy()
@@ -88,7 +87,7 @@ def presolve(problem: CompiledProblem, max_passes: int = 4) -> PresolveResult:
     if np.any(lb > ub + 1e-9):
         return PresolveResult(problem, infeasible=True, bounds_tightened=tightened)
 
-    for _ in range(max_passes):
+    for _ in range(4):
         changed = False
         keep = np.ones(A_ub.shape[0], dtype=bool)
         for i in range(A_ub.shape[0]):

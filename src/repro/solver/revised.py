@@ -118,12 +118,11 @@ class BasisFactor:
     against the maintained inverse, and ``BTRAN(e_r)`` is a free row read.
     """
 
-    __slots__ = ("A", "m", "max_updates", "updates", "refactorizations", "_inv")
+    __slots__ = ("A", "m", "updates", "refactorizations", "_inv")
 
-    def __init__(self, A: np.ndarray, max_updates: int | None = None) -> None:
+    def __init__(self, A: np.ndarray) -> None:
         self.A = A
         self.m = A.shape[0]
-        self.max_updates = _MAX_UPDATES if max_updates is None else int(max_updates)
         self.updates = 0
         self.refactorizations = 0
         self._inv: np.ndarray | None = None
@@ -183,7 +182,7 @@ class BasisFactor:
 
     @property
     def stale(self) -> bool:
-        return self.updates >= self.max_updates
+        return self.updates >= _MAX_UPDATES
 
 
 class RevisedTableau:
@@ -283,7 +282,6 @@ class _Core:
         at_upper: np.ndarray,
         deadline: Deadline | None = None,
         breakdown: dict | None = None,
-        max_updates: int | None = None,
     ) -> None:
         self.A = np.ascontiguousarray(A)
         self.b = b
@@ -296,7 +294,7 @@ class _Core:
         self.in_basis[basis] = True
         self.deadline = deadline
         self.breakdown = breakdown
-        self.factor = BasisFactor(self.A, max_updates=max_updates)
+        self.factor = BasisFactor(self.A)
         self.x_B = np.zeros(self.m)
         self.red = np.zeros(self.ncols)
         self.y: np.ndarray | None = None
@@ -662,7 +660,6 @@ def revised_solve(
     max_iter: int = 50_000,
     deadline: Deadline | None = None,
     telemetry: Telemetry | None = None,
-    max_updates: int | None = None,
 ) -> tuple[str, np.ndarray | None, float, int, RevisedTableau | None]:
     """Two-phase revised simplex on a :class:`StandardForm`.
 
@@ -683,10 +680,7 @@ def revised_solve(
     u1 = np.concatenate([u, np.full(m, np.inf)])
     basis = np.arange(n, n + m)
     at_upper = np.zeros(n + m, dtype=bool)
-    core = _Core(
-        A1, b, c1, u1, basis, at_upper,
-        deadline=deadline, max_updates=max_updates,
-    )
+    core = _Core(A1, b, c1, u1, basis, at_upper, deadline=deadline)
     if not core.refresh():
         raise NumericalTrouble("phase-1 identity basis refused to factorize")
 
@@ -735,10 +729,7 @@ def revised_solve(
     A2 = A[row_ids]
     b2 = b[row_ids]
 
-    core2 = _Core(
-        A2, b2, c, u, basis2, at_upper2,
-        deadline=deadline, max_updates=max_updates,
-    )
+    core2 = _Core(A2, b2, c, u, basis2, at_upper2, deadline=deadline)
     if not core2.refresh():
         raise NumericalTrouble("phase-2 basis singular after redundant-row drop")
     status, it2 = _run(core2, "simplex_phase2")
@@ -762,7 +753,6 @@ def warm_solve_revised(
     max_iter: int,
     deadline: Deadline | None,
     breakdown: dict | None = None,
-    max_updates: int | None = None,
 ) -> tuple[str, np.ndarray | None, float, int, RevisedTableau | None, str] | None:
     """Phase-2-only re-solve from a previous basis on the factored engine.
 
@@ -790,7 +780,7 @@ def warm_solve_revised(
 
     core = _Core(
         sf.A[rows], sf.b[rows], sf.c, u, basis, at_upper,
-        deadline=deadline, breakdown=breakdown, max_updates=max_updates,
+        deadline=deadline, breakdown=breakdown,
     )
     # A parent solve's exported factor skips the LU when the basis matrix
     # is unchanged (the bound-modified re-solve case); refresh() validates

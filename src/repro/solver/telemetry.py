@@ -163,9 +163,8 @@ class Deadline:
     def tightened(self, budget: float) -> "Deadline":
         """This deadline, or a fresh one over ``budget`` if that is sooner.
 
-        Used to merge a caller-supplied deadline with a per-layer option
-        such as ``BranchAndBoundOptions.time_limit`` without resetting the
-        caller's clock.
+        Merges a caller-supplied deadline with a shorter budget of one
+        layer without resetting the caller's clock.
         """
         if budget >= self.remaining():
             return self

@@ -68,23 +68,17 @@ class Disagreement:
     shrunk: object | None = None
 
 
-def _lp_backends(is_mip: bool) -> list[str]:
-    backends = ["simplex"]
-    if scipy_available():
-        backends.append("scipy")
-        if is_mip:
-            backends.append("bb-scipy")
-    return backends
+def _lp_backends() -> list[str]:
+    return ["simplex", "scipy"] if scipy_available() else ["simplex"]
 
 
 def _compare_problem(
     problem: CompiledProblem, tol: float, optimum: float | None = None
 ) -> list[Disagreement]:
     """Solve one compiled problem on every backend; return divergences."""
-    is_mip = bool(problem.integrality.any())
     out: list[Disagreement] = []
     results = {}
-    for backend in _lp_backends(is_mip):
+    for backend in _lp_backends():
         res = solve_compiled(problem, backend=backend, use_presolve=False)
         results[backend] = res
         report = certify_result(problem, res, tol=tol)
@@ -311,7 +305,7 @@ def cross_check_case(case: GeneratedCase, tol: float = 1e-6) -> list[Disagreemen
         found = _compare_problem(case.instance, tol, case.optimum)
         if not expect_feasible:
             # every backend must agree on infeasibility
-            for backend in _lp_backends(bool(case.instance.integrality.any())):
+            for backend in _lp_backends():
                 res = solve_compiled(case.instance, backend=backend, use_presolve=False)
                 if res.status is not SolverStatus.INFEASIBLE:
                     found.append(Disagreement(

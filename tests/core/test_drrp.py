@@ -119,10 +119,8 @@ class TestDRRPSolutions:
     def test_backends_agree(self):
         inst = make_instance(NormalDemand().sample(10, 5))
         a = solve_drrp(inst, backend="scipy")
-        b = solve_drrp(inst, backend="bb-scipy")
-        c = solve_drrp(inst, backend="simplex")
+        b = solve_drrp(inst, backend="simplex")
         assert a.total_cost == pytest.approx(b.total_cost, abs=1e-5)
-        assert a.total_cost == pytest.approx(c.total_cost, abs=1e-5)
 
 
     def test_validate_checks_the_bottleneck_row(self):

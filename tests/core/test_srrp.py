@@ -170,7 +170,5 @@ class TestStochasticValue:
             demand=np.full(3, 0.4), costs=on_demand_schedule(VM, 3), tree=tree
         )
         a = solve_srrp(inst, backend="scipy")
-        b = solve_srrp(inst, backend="bb-scipy")
-        c = solve_srrp(inst, backend="simplex")
+        b = solve_srrp(inst, backend="simplex")
         assert a.expected_cost == pytest.approx(b.expected_cost, abs=1e-5)
-        assert a.expected_cost == pytest.approx(c.expected_cost, abs=1e-5)

@@ -217,6 +217,36 @@ class TestServiceCore:
             assert svc.registry.counter("service_degraded").value == 0
             assert len(svc.cache) == 0
 
+    def test_degraded_no_plan_is_feasible_not_optimal(self):
+        # Caps of 0.7 fit every slot's net demand but can bind: the
+        # overload path answers with no-plan (12.528), while the MILP
+        # finds 11.088, so the answer must not claim optimality.
+        capped = knocked_payload(capacity=[0.7] * 6)
+        with PlanningService(ServiceConfig(workers=0, queue_size=1)) as svc:
+            svc.submit(other(94))
+            status, body = svc.submit({**capped, "on_overload": "degrade"})
+            assert status == 200
+            assert body["plan"]["degraded"] == "no-plan"
+            assert body["plan"]["status"] == "feasible"
+            assert body["plan"]["total_cost"] == pytest.approx(12.528, abs=1e-9)
+
+    def test_degraded_no_plan_after_the_deadline_is_time_limit(self, monkeypatch):
+        from repro.service import executor
+
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("solver gave up")
+
+        monkeypatch.setattr(executor, "execute_request", no_solve)
+        capped = knocked_payload(capacity=[0.7] * 6)
+        with PlanningService(ServiceConfig(workers=1)) as svc:
+            _, body = svc.submit({**capped, "time_limit": 1e-9})
+            job = wait_done(svc, body["job"]["id"])
+            assert job.state.value == "done"
+            assert job.plan["degraded"] == "no-plan"
+            assert job.plan["status"] == "time_limit"
+            assert job.plan["total_cost"] == pytest.approx(12.528, abs=1e-9)
+            assert len(svc.cache) == 0
+
     def test_deadline_refusal_fails_the_job_and_the_worker_lives(self):
         # Slot 0 is knocked out but carries the first net demand: the
         # exact DP and the degraded path both find no plan.
@@ -356,6 +386,19 @@ class TestHTTPEndpoints:
             urllib.request.urlopen(req, timeout=10)
         exc.value.close()  # the error owns the response and its socket
         assert exc.value.code == 400
+
+    def test_removed_backend_is_400(self, live):
+        _, httpd, _ = live
+        req = urllib.request.Request(
+            httpd.url + "/v1/plan", data=json.dumps({**DRRP, "backend": "bb-scipy"}).encode(),
+            method="POST", headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        error = json.loads(exc.value.read())["error"]
+        exc.value.close()
+        assert exc.value.code == 400
+        assert "('auto', 'simplex', 'simplex+cuts', 'scipy'), got 'bb-scipy'" in error
 
     def test_unknown_route_404(self, live):
         _, httpd, _ = live

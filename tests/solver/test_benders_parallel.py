@@ -1,9 +1,8 @@
 """Parallel Benders fan-out and per-scenario warm starts.
 
-Every mode — serial simplex subproblems, multi-worker fan-out, and the
-legacy cold HiGHS path — must land on the same optimum as the extensive
-form; the fan-out only changes *where* subproblems run, never what they
-return.
+Serial and multi-worker runs must land on the same optimum as the
+extensive form; the fan-out only changes *where* subproblems run, never
+what they return.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.solver.benders import (
     extensive_form,
     solve_benders,
 )
-from repro.solver.scipy_backend import scipy_available
 from repro.solver.telemetry import EventRecorder
 
 
@@ -43,19 +41,13 @@ class TestSimplexSubproblems:
     def test_serial_matches_extensive_form(self):
         from repro.solver import solve_compiled
 
-        tsp = _complete_recourse()
-        res = solve_benders(tsp, options=BendersOptions(n_workers=1))
-        ref = solve_compiled(extensive_form(tsp))
-        assert res.status is SolverStatus.OPTIMAL
-        assert ref.status is SolverStatus.OPTIMAL
-        assert res.objective == pytest.approx(ref.objective, rel=1e-6)
-
-    @pytest.mark.skipif(not scipy_available(), reason="needs scipy")
-    def test_simplex_and_scipy_subproblems_agree(self):
-        tsp = _complete_recourse(seed=3)
-        fast = solve_benders(tsp, options=BendersOptions(subproblem_backend="simplex"))
-        legacy = solve_benders(tsp, options=BendersOptions(subproblem_backend="scipy"))
-        assert fast.objective == pytest.approx(legacy.objective, rel=1e-6)
+        for seed in (0, 3):
+            tsp = _complete_recourse(seed=seed)
+            res = solve_benders(tsp, options=BendersOptions(n_workers=1))
+            ref = solve_compiled(extensive_form(tsp))
+            assert res.status is SolverStatus.OPTIMAL
+            assert ref.status is SolverStatus.OPTIMAL
+            assert res.objective == pytest.approx(ref.objective, rel=1e-6)
 
     def test_scenarios_warm_start_across_iterations(self):
         tsp = _complete_recourse(seed=5)

@@ -13,8 +13,14 @@ from repro.solver import (
     branch_and_bound,
     solve,
 )
+from repro.solver import branch_bound
 from repro.solver.scipy_backend import solve_lp_scipy, solve_milp_scipy
 from repro.solver.simplex import solve_lp_simplex
+
+
+def bb_highs(m, **kwargs):
+    """Our branch-and-bound driver over HiGHS LP relaxations."""
+    return branch_and_bound(m.compile(), solve_lp_scipy, **kwargs)
 
 
 def knapsack_model(values, weights, cap):
@@ -28,7 +34,7 @@ def knapsack_model(values, weights, cap):
 class TestKnapsack:
     def test_small_knapsack_exact(self):
         m = knapsack_model([10, 13, 7, 8], [3, 4, 2, 3], 7)
-        r = solve(m, backend="bb-scipy")
+        r = bb_highs(m)
         assert r.status is SolverStatus.OPTIMAL
         assert r.objective == pytest.approx(23.0)
 
@@ -39,13 +45,13 @@ class TestKnapsack:
 
     def test_all_items_fit(self):
         m = knapsack_model([1, 2, 3], [1, 1, 1], 10)
-        r = solve(m, backend="bb-scipy")
+        r = bb_highs(m)
         assert r.objective == pytest.approx(6.0)
         assert np.allclose(np.round(r.x), 1.0)
 
     def test_nothing_fits(self):
         m = knapsack_model([5, 5], [10, 10], 3)
-        r = solve(m, backend="bb-scipy")
+        r = bb_highs(m)
         assert r.objective == pytest.approx(0.0)
 
 
@@ -71,18 +77,19 @@ class TestFixedChargeStructure:
         return m
 
     def test_high_setup_consolidates(self):
-        r = solve(self._model(setup_cost=10.0), backend="bb-scipy")
+        r = bb_highs(self._model(setup_cost=10.0))
         chi = np.round(r.x[8:12])
         assert chi.sum() < 4  # consolidation happened
 
     def test_zero_setup_produces_just_in_time(self):
-        r = solve(self._model(setup_cost=0.0), backend="bb-scipy")
+        r = bb_highs(self._model(setup_cost=0.0))
         beta = r.x[4:8]
         assert np.allclose(beta, 0.0, atol=1e-6)  # no inventory held
 
     def test_backends_agree(self):
         m = self._model(setup_cost=3.0)
-        objs = [solve(m, backend=be).objective for be in ("scipy", "bb-scipy", "simplex")]
+        objs = [solve(m, backend=be).objective for be in ("scipy", "simplex")]
+        objs.append(bb_highs(m).objective)
         assert max(objs) - min(objs) < 1e-5
 
 
@@ -113,19 +120,19 @@ class TestOptionsAndLimits:
         x = m.add_var("x", vtype="integer", lb=0, ub=10)
         m.add_constr(2 * x == 3)  # no integer solution
         m.set_objective(x)
-        r = solve(m, backend="bb-scipy", use_presolve=False)
+        r = bb_highs(m)
         assert r.status is SolverStatus.INFEASIBLE
 
     def test_pure_lp_passthrough(self):
         m = Model()
         x = m.add_var("x", ub=2)
         m.set_objective(-x)
-        r = solve(m, backend="bb-scipy")
+        r = bb_highs(m)
         assert r.status is SolverStatus.OPTIMAL and r.objective == pytest.approx(-2.0)
 
     def test_result_gap_property(self):
         m = knapsack_model([4, 5], [1, 1], 2)
-        r = solve(m, backend="bb-scipy")
+        r = bb_highs(m)
         assert r.gap <= 1e-6
 
 
@@ -159,12 +166,12 @@ class TestUnsolvedChildren:
 
         return lp
 
-    def test_both_root_children_error(self):
+    def test_both_root_children_error(self, monkeypatch):
+        # Without the rounding heuristic nothing but the children could
+        # yield an incumbent.
+        monkeypatch.setattr(branch_bound, "_try_rounding", lambda *args: None)
         problem = knapsack_model(self.VALUES, self.WEIGHTS, self.CAP).compile()
-        r = branch_and_bound(
-            problem, self._failing({2, 3}, SolverStatus.ERROR),
-            BranchAndBoundOptions(rounding_heuristic=False),
-        )
+        r = branch_and_bound(problem, self._failing({2, 3}, SolverStatus.ERROR))
         assert r.status is SolverStatus.ERROR
         assert r.x is None
 

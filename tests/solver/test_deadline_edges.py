@@ -12,16 +12,14 @@ import pytest
 from repro.core.drrp import DRRPInstance, solve_drrp
 from repro.core.lotsizing import solve_wagner_whitin
 from repro.solver import BranchAndBoundOptions
-from repro.solver.benders import BendersOptions, solve_benders
+from repro.solver.benders import solve_benders
 from repro.solver.interface import solve_compiled
 from repro.solver.result import SolverStatus
 from repro.solver.scipy_backend import scipy_available
 from repro.solver.telemetry import Deadline
 from repro.verify.generators import planted_milp, random_two_stage
 
-needs_scipy = pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
-
-BACKENDS = ["simplex"] + (["scipy", "bb-scipy"] if scipy_available() else [])
+BACKENDS = ["simplex"] + (["scipy"] if scipy_available() else [])
 
 
 @pytest.fixture
@@ -86,16 +84,14 @@ class TestPlanEntryPoint:
 class TestBranchAndBoundEntryPoint:
     def test_expired_no_incumbent_returns_time_limit(self):
         case = planted_milp(np.random.default_rng(0))
-        backend = "bb-scipy" if scipy_available() else "simplex"
-        res = solve_compiled(case.instance, backend=backend, use_presolve=False, time_limit=0)
+        res = solve_compiled(case.instance, backend="simplex", use_presolve=False, time_limit=0)
         assert res.status is SolverStatus.TIME_LIMIT
         assert res.x is None
 
     def test_expired_with_warm_start_keeps_incumbent(self):
         case = planted_milp(np.random.default_rng(0))
-        backend = "bb-scipy" if scipy_available() else "simplex"
         res = solve_compiled(
-            case.instance, backend=backend, use_presolve=False, time_limit=0,
+            case.instance, backend="simplex", use_presolve=False, time_limit=0,
             bb_options=BranchAndBoundOptions(initial_incumbent=case.x_star),
         )
         assert res.status is SolverStatus.FEASIBLE
@@ -103,13 +99,7 @@ class TestBranchAndBoundEntryPoint:
         assert res.objective == pytest.approx(case.optimum)
 
 
-@needs_scipy
 class TestBendersEntryPoint:
-    def test_zero_time_limit_does_not_raise(self):
-        case = random_two_stage(np.random.default_rng(4))
-        res = solve_benders(case.instance, options=BendersOptions(time_limit=0.0))
-        assert res.status is SolverStatus.TIME_LIMIT
-
     def test_expired_deadline_does_not_raise(self):
         case = random_two_stage(np.random.default_rng(4))
         res = solve_benders(case.instance, deadline=Deadline(0.0))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.solver import (
     BranchAndBoundOptions,
+    Deadline,
     Model,
     SolverResult,
     SolverStatus,
@@ -97,9 +98,7 @@ class TestBranchBoundLimits:
         return m.compile()
 
     def test_time_limit(self):
-        res = branch_and_bound(
-            self._model(), solve_lp_scipy, BranchAndBoundOptions(time_limit=0.0)
-        )
+        res = branch_and_bound(self._model(), solve_lp_scipy, deadline=Deadline(0.0))
         assert res.status in (
             SolverStatus.TIME_LIMIT, SolverStatus.FEASIBLE, SolverStatus.OPTIMAL
         )

@@ -7,7 +7,7 @@ against HiGHS.  Coverage:
 * Beale's cycling LP terminates, cold and warm.
 * Degenerate ratio-test ties and bound-flip-only iterations reach the
   certified optimum.
-* Stress-small refactorization budget (``max_updates=1``) keeps the
+* Stress-small refactorization budget (``_MAX_UPDATES = 1``) keeps the
   factorization honest without changing the answer.
 * Agreement with HiGHS on objectives, plus exact dual certificates and
   Farkas rays, over the planted generator families.
@@ -24,6 +24,7 @@ import pytest
 
 from repro.solver import SolverStatus, scipy_available, solve_compiled
 from repro.solver.model import CompiledProblem
+from repro.solver import revised
 from repro.solver.revised import NumericalTrouble, revised_solve
 from repro.solver.simplex import solve_lp_simplex, standardize
 from repro.solver.telemetry import EventRecorder, Telemetry
@@ -148,30 +149,34 @@ class TestDegenerateAndBoundFlips:
 
 
 class TestRefactorizationPolicy:
-    def test_tiny_update_budget_same_answer(self):
-        # max_updates=1 forces a refactorization on essentially every
-        # pivot; the answer must not move and the factor must report the
-        # extra work honestly.
+    def test_tiny_update_budget_same_answer(self, monkeypatch):
+        # An update budget of 1 forces a refactorization on essentially
+        # every pivot; the answer must not move and the factor must report
+        # the extra work honestly.
+        def solve(sf):
+            rec = EventRecorder()
+            out = revised_solve(sf, telemetry=Telemetry(rec))
+            refacts = [
+                ev.data["refactorizations"]
+                for ev in rec.of_kind("phase_end")
+                if "refactorizations" in ev.data
+            ]
+            return out, max(refacts)
+
         rng = np.random.default_rng(17)
         for _ in range(5):
             case = planted_lp(rng)
             sf = standardize(case.instance)
             if sf.A.shape[0] == 0:
                 continue
-            rec = EventRecorder()
-            stressed = revised_solve(
-                sf, max_updates=1, telemetry=Telemetry(rec)
-            )
-            default = revised_solve(sf)
+            default, default_refacts = solve(sf)
+            with monkeypatch.context() as patch:
+                patch.setattr(revised, "_MAX_UPDATES", 1)
+                stressed, stressed_refacts = solve(sf)
             assert stressed[0] == default[0]
             if stressed[0] == "optimal":
                 assert stressed[2] == pytest.approx(default[2], abs=1e-8)
-            refacts = [
-                ev.data["refactorizations"]
-                for ev in rec.of_kind("phase_end")
-                if "refactorizations" in ev.data
-            ]
-            assert refacts and max(refacts) >= 1
+            assert stressed_refacts > default_refacts
 
 
 class TestCrossEngineAgreement:

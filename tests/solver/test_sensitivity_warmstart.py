@@ -136,8 +136,8 @@ class TestWarmStart:
         from repro.core import DRRPInstance, solve_drrp
 
         inst = DRRPInstance.example(horizon=10)
-        cold = solve_drrp(inst, backend="bb-scipy")
-        warm = solve_drrp(inst, backend="bb-scipy", warm_start=True)
+        cold = solve_drrp(inst, backend="simplex")
+        warm = solve_drrp(inst, backend="simplex", warm_start=True)
         assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-6)
         # the WW seed is optimal, so the warm run never needs more nodes
         assert warm.extra["nodes"] <= cold.extra["nodes"]

@@ -193,7 +193,7 @@ class TestDeadlineEnforcement:
             return solve_lp_simplex(prob)
 
         start = time.monotonic()
-        res = branch_and_bound(p, slow_lp, BranchAndBoundOptions(time_limit=0.05))
+        res = branch_and_bound(p, slow_lp, deadline=Deadline(0.05))
         elapsed = time.monotonic() - start
         assert res.status in (SolverStatus.TIME_LIMIT, SolverStatus.FEASIBLE)
         # old behavior: two sleeping children ≈ 0.4 s; fixed: ≤ one child

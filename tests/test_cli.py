@@ -1,7 +1,13 @@
 """CLI smoke/behaviour tests (in-process via main(argv))."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -13,6 +19,25 @@ class TestParser:
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
         assert args.vm == "m1.large" and args.horizon == 24
+
+    def test_backend_help_loads_no_http_stack(self):
+        # The --backend help strings come from repro.service.encoding; a fresh
+        # interpreter shows that building them leaves the service's HTTP
+        # server and client unloaded (they cost every command ~80 ms).
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('loaded', [m for m in ('repro.service.server',"
+            " 'repro.service.client', 'http.server') if m in sys.modules]))\n"
+            "from repro.cli import main\n"
+            "main(['plan', '--help'])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "solver backend: auto | simplex | simplex+cuts | scipy" in proc.stdout
+        assert "bb-scipy" not in proc.stdout
+        assert "loaded []" in proc.stdout
 
 
 class TestPlanCommand:

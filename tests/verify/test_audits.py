@@ -19,11 +19,10 @@ def ev(kind, **data):
 
 class TestBBAudit:
     def test_real_bb_stream_passes(self, rng):
-        backend = "bb-scipy" if scipy_available() else "simplex"
         for _ in range(4):
             case = planted_milp(rng)
             rec = EventRecorder()
-            solve_compiled(case.instance, backend=backend, use_presolve=False, listener=rec)
+            solve_compiled(case.instance, backend="simplex", use_presolve=False, listener=rec)
             checks = audit_bb_events(rec.events)
             assert all_passed(checks), [c.detail for c in checks if not c.passed]
 

@@ -51,10 +51,9 @@ class TestPlantedLP:
 
 class TestPlantedMILP:
     def test_optimum_matches_branch_and_bound(self, rng):
-        backend = "bb-scipy" if scipy_available() else "simplex"
         for _ in range(8):
             case = planted_milp(rng)
-            res = solve_compiled(case.instance, backend=backend, use_presolve=False)
+            res = solve_compiled(case.instance, backend="simplex", use_presolve=False)
             assert res.status.has_solution
             assert close(res.objective, case.optimum)
             assert case.instance.integrality.any()
