@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv = sub.add_parser("serve", help="run the planning service (HTTP)")
     p_srv.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p_srv.add_argument("--port", type=int, default=8080, help="port (default 8080; 0 = ephemeral)")
-    p_srv.add_argument("--workers", type=int, default=2, help="solver worker threads (default 2)")
+    p_srv.add_argument("--workers", type=int, default=2,
+                       help="solver worker threads, also the number of solve slots (default 2)")
     p_srv.add_argument("--queue-size", type=int, default=64,
                        help="bounded job queue capacity (default 64)")
     p_srv.add_argument("--cache-size", type=int, default=512,

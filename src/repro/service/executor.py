@@ -23,18 +23,25 @@ Two paths:
     capacitated DRRP gets the no-plan scheme when it fits every slot's
     cap.  The returned payload carries ``degraded`` naming the planner;
     a request no such planner can answer within its caps raises
-    :class:`DegradeRefused`.
+    :class:`DegradeRefused`.  Every plan is checked with its own
+    ``validate`` (balance, forcing, signs and, for DRRP, each slot's cap)
+    before it leaves; a plan that fails raises :class:`DegradeInvalid`.
 """
 
 from __future__ import annotations
 
 from .encoding import build_instance, plan_payload
 
-__all__ = ["execute_request", "degraded_request", "DegradeRefused"]
+__all__ = ["execute_request", "degraded_request", "DegradeRefused", "DegradeInvalid"]
 
 
 class DegradeRefused(RuntimeError):
     """No polynomial-time planner answers the request within its caps."""
+
+
+class DegradeInvalid(RuntimeError):
+    """A degraded plan failed its own ``validate``: a planner fault, not
+    the request's, so the server answers 500 rather than a refusal."""
 
 
 def execute_request(
@@ -76,9 +83,10 @@ def _fleet_request(request: dict, listener=None, escalate: bool = True) -> dict:
     """Plan one seeded fleet spec; returns the fleet-plan summary payload.
 
     The fan-out inside :func:`repro.fleet.plan_fleet` respects the
-    service workers' :func:`repro.parallel.serial_guard`, so a fleet job
-    cannot fork-bomb the host from a worker thread.  ``escalate=False``
-    is the degraded path: heuristic tier only, no gap-triggered MILP.
+    :func:`repro.parallel.serial_guard` every service solve runs under,
+    so a fleet job cannot fork-bomb the host from a worker or handler
+    thread.  ``escalate=False`` is the degraded path: heuristic tier
+    only, no gap-triggered MILP.
     """
     from repro.fleet import FleetConfig, generate_tenants, plan_fleet, uniform_pools
 
@@ -121,6 +129,10 @@ def degraded_request(request: dict) -> dict:
         )
     else:
         plan, planner = solve_noplan(instance), "no-plan"
+    try:
+        plan.validate(instance)
+    except AssertionError as exc:
+        raise DegradeInvalid(f"degraded {planner} plan is infeasible: {exc}") from exc
     payload = plan_payload(request["kind"], plan)
     payload["degraded"] = planner
     return payload

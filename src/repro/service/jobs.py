@@ -62,6 +62,7 @@ class Job:
     finished: float | None = None
     cached: bool = False          # answered from the plan cache at submit
     degraded: str | None = None   # heuristic used instead of the solver
+    degrade_invalid: bool = False  # that heuristic's plan failed validation
     coalesced: int = 0            # extra identical submissions sharing this job
     plan: dict | None = None
     error: str | None = None
@@ -108,6 +109,8 @@ class Job:
             view["trace_id"] = self.trace.trace_id
         if self.degraded is not None:
             view["degraded"] = self.degraded
+        if self.degrade_invalid:
+            view["degrade_invalid"] = True
         if self.latency is not None:
             view["latency_s"] = self.latency
         if self.error is not None:

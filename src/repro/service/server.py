@@ -50,10 +50,18 @@ such plan keeps the request's capacity caps) — the server never
 blocks a submission behind a solve.  Per-request ``time_limit`` budgets
 cover queue wait *and* solve, mapped onto the solver's ``Deadline``.
 
+Solve slots: ``workers`` permits bound how many jobs solve at once.  A
+worker holds one while it runs a queued job; a synchronous ``/v1/plan``
+or ``/v1/fleet`` handler that finds one free (and nothing queued ahead
+of it) runs its admitted job on its own thread instead of handing it to
+a worker and back.  A request whose ``wait_s`` is shorter than its
+budget always takes the queue, so the 504 reply still comes by
+``wait_s``.  ``workers=0`` leaves no permits: every job queues.
+
 Everything importable here is stdlib-only; solver work is deferred to
-:mod:`repro.service.executor` inside worker threads, which run under
-:func:`repro.parallel.serial_guard` so solver-level ``parallel_map``
-calls cannot fork-bomb the host.
+:mod:`repro.service.executor`, and every solve (worker or handler
+thread) runs under :func:`repro.parallel.serial_guard` so solver-level
+``parallel_map`` calls cannot fork-bomb the host.
 """
 
 from __future__ import annotations
@@ -99,9 +107,11 @@ _LATENCY_BUCKETS = (
 class ServiceConfig:
     """Knobs for one :class:`PlanningService`.
 
-    ``workers=0`` starts no worker threads (submissions queue until the
-    queue fills, then backpressure applies) — used by saturation tests
-    and the load generator's 429 probe.
+    ``workers`` is also the number of solve slots (see the module
+    docstring).  ``workers=0`` starts no worker threads and has no slots
+    (submissions queue until the queue fills, then backpressure
+    applies) — used by saturation tests and the load generator's 429
+    probe.
     """
 
     workers: int = 2
@@ -132,6 +142,7 @@ class PlanningService:
         self._inflight: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._workers: list[threading.Thread] = []
+        self._slots = threading.Semaphore(self.config.workers)
         self._closed = False
         self._started = time.monotonic()
         # Solver events from every worker fold into the shared registry;
@@ -181,12 +192,18 @@ class PlanningService:
 
     # -- admission ---------------------------------------------------------
 
-    def submit(self, payload, trace: TraceContext | None = None) -> tuple[int, dict]:
+    def submit(self, payload, trace: TraceContext | None = None,
+               wait_s: float | None = None) -> tuple[int, dict]:
         """Admit one submission; returns ``(http_status, body)``.
 
-        Never blocks on solver work: the slow paths are a queue insert, a
-        cache lookup, or (``on_overload: "degrade"``) one polynomial-time
-        heuristic.
+        Without ``wait_s`` this never blocks on solver work: the slow
+        paths are a queue insert, a cache lookup, or (``on_overload:
+        "degrade"``) one polynomial-time heuristic.
+
+        ``wait_s`` is how long the caller will block for the answer (a
+        synchronous ``/v1/plan``).  When the job's budget fits in it, a
+        solve slot is free and nothing is queued, the admitted job runs
+        on the calling thread and the reply is its :meth:`plan_view`.
 
         ``trace`` is the caller's propagated context (parsed from the
         ``traceparent`` header by the HTTP layer); the job runs under a
@@ -227,18 +244,27 @@ class PlanningService:
                 budget = self.config.default_time_limit
             deadline = Deadline(budget) if budget is not None else Deadline.never()
             job = self.jobs.create(digest, request, deadline=deadline, **trace_fields)
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                return self._overload(job, request)
-            self._inflight[digest] = job
-            self.registry.gauge("service_queue_depth").set(self._queue.qsize())
-            return 202, {"job": job.to_dict()}
+            inline = (wait_s is not None and deadline.budget <= wait_s
+                      and self._queue.empty() and self._slots.acquire(blocking=False))
+            if inline:
+                # Registered before it runs, so duplicates coalesce onto it.
+                self._inflight[digest] = job
+            else:
+                try:
+                    self._queue.put_nowait(job)
+                except queue.Full:
+                    return self._overload(job, request)
+                self._inflight[digest] = job
+                self.registry.gauge("service_queue_depth").set(self._queue.qsize())
+                return 202, {"job": job.to_dict()}
+        self.registry.counter("service_inline_solves").inc()
+        self._solve(job)
+        return self._plan_reply(job)
 
     def _overload(self, job: Job, request: dict) -> tuple[int, dict]:
         """Queue-full handling: degrade inline or reject with Retry-After."""
         if request["on_overload"] == "degrade":
-            from .executor import DegradeRefused, degraded_request
+            from .executor import DegradeInvalid, DegradeRefused, degraded_request
 
             try:
                 payload = degraded_request(request)
@@ -247,6 +273,11 @@ class PlanningService:
                 self.registry.counter("service_degrade_refused").inc()
                 return 429, {"error": f"planning queue is full; {exc}",
                              "degrade_refused": True, "retry_after": self.retry_after()}
+            except DegradeInvalid as exc:
+                job.degrade_invalid = True
+                job.finish(error=f"DegradeInvalid: {exc}")
+                self.registry.counter("service_degrade_invalid").inc()
+                return self._plan_reply(job)
             job.degraded = payload["degraded"]
             job.finish(plan=payload)
             self.registry.counter("service_degraded").inc()
@@ -272,20 +303,28 @@ class PlanningService:
     # -- workers -----------------------------------------------------------
 
     def _worker(self) -> None:
-        from repro.parallel import serial_guard
-
         while True:
             job = self._queue.get()
             if job is _SENTINEL:
                 return
             self.registry.gauge("service_queue_depth").set(self._queue.qsize())
+            self._slots.acquire()
+            self._solve(job)
+
+    def _solve(self, job: Job) -> None:
+        """Run ``job`` on this thread, then give back the slot it holds."""
+        from repro.parallel import serial_guard
+
+        try:
             with serial_guard():
                 self._run_job(job)
+        finally:
+            self._slots.release()
 
     def _run_job(self, job: Job) -> None:
         from repro.solver.telemetry import EventRecorder, Telemetry
 
-        from .executor import degraded_request, execute_request
+        from .executor import DegradeInvalid, degraded_request, execute_request
 
         request = job.request   # finish() drops it from the job
         job.state = JobState.RUNNING
@@ -321,6 +360,10 @@ class PlanningService:
                 # see exceptions raised inside this one.
                 try:
                     payload = degraded_request(request)
+                except DegradeInvalid as invalid:
+                    job.degrade_invalid = True
+                    self.registry.counter("service_degrade_invalid").inc()
+                    self._finish_job(job, error=f"DegradeInvalid: {invalid}")
                 except Exception as refusal:  # noqa: BLE001 - a worker must never die
                     self.registry.counter("service_degrade_refused").inc()
                     self._finish_job(job, error=f"{type(refusal).__name__}: {refusal}")
@@ -402,8 +445,14 @@ class PlanningService:
         job = self.jobs.get(job_id)
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}
+        return self._plan_reply(job)
+
+    def _plan_reply(self, job: Job) -> tuple[int, dict]:
         if job.state is JobState.FAILED:
-            return 500, {"job": job.to_dict(), "error": job.error}
+            body = {"job": job.to_dict(), "error": job.error}
+            if job.degrade_invalid:
+                body["degrade_invalid"] = True
+            return 500, body
         if not job.state.finished:
             return 409, {"job": job.to_dict(), "error": "plan not ready; poll the job"}
         return 200, {"job": job.to_dict(), "plan": job.plan}
@@ -573,17 +622,21 @@ class _Handler(BaseHTTPRequestHandler):
         # Missing or garbled traceparent parses to None — the job simply
         # starts a fresh trace root; propagation is never worth a 4xx/5xx.
         trace = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
-        status, body = service.submit(payload, trace=trace)
-        if path == "/v1/jobs" or status != 202:
-            self._reply(status, body)
+        if path == "/v1/jobs":
+            self._reply(*service.submit(payload, trace=trace))
             return
-        # Synchronous /v1/plan: wait for the admitted (or coalesced) job.
         wait_s = payload.get("wait_s") if isinstance(payload, dict) else None
         try:
             wait_s = min(float(wait_s), service.config.max_wait_s) if wait_s is not None \
                 else service.config.max_wait_s
         except (TypeError, ValueError):
             self._reply(400, {"error": "wait_s must be a number"})
+            return
+        # Synchronous: the job solves right here when a slot is free;
+        # otherwise wait for the queued (or coalesced) job.
+        status, body = service.submit(payload, trace=trace, wait_s=wait_s)
+        if status != 202:
+            self._reply(status, body)
             return
         job = service.wait(body["job"]["id"], timeout=wait_s)
         if job is None or not job.state.finished:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .model import CompiledProblem
 from .result import SolverResult, SolverStatus
-from .interface import solve_compiled
+from .interface import resolve_auto, solve_compiled
 from .simplex import solve_lp_simplex
 from .telemetry import Deadline, Telemetry
 from repro.parallel.pool import current_telemetry, default_workers, in_parallel_worker, parallel_map
@@ -252,16 +252,18 @@ def solve_benders(
     and ``extra`` carries per-scenario recourse values, cut counts, and the
     iteration trace (useful for the decomposition ablation bench).
 
-    ``backend`` solves the master (see :mod:`repro.solver.interface`);
-    the subproblems always run on the simplex.  The shared ``deadline``
-    is polled at the top of every master iteration and threaded into the
-    master MILP solve; on expiry the best first-stage incumbent is
-    returned with status ``FEASIBLE`` (``TIME_LIMIT`` when no iteration
-    completed).  Each iteration emits a ``benders_iteration`` telemetry
-    event.
+    ``backend`` solves the master (see :mod:`repro.solver.interface`;
+    ``auto`` without SciPy degrades to ``simplex`` once, before the
+    first iteration); the subproblems always run on the simplex.  The
+    shared ``deadline`` is polled at the top of every master iteration
+    and threaded into the master MILP solve; on expiry the best
+    first-stage incumbent is returned with status ``FEASIBLE``
+    (``TIME_LIMIT`` when no iteration completed).  Each iteration emits
+    a ``benders_iteration`` telemetry event.
     """
     opts = options or BendersOptions()
     telemetry = Telemetry.from_listener(listener)
+    backend = resolve_auto(backend, telemetry)
     dl = Deadline.never() if deadline is None else deadline
     S = len(problem.scenarios)
     n = problem.num_x

@@ -67,6 +67,20 @@ def _degrade(telemetry: Telemetry | None, from_backend: str, to_backend: str, re
         )
 
 
+def resolve_auto(backend: str, telemetry: Telemetry | None = None) -> str:
+    """``backend``, with ``"auto"`` turned into ``"simplex"`` when SciPy is
+    not importable (one ``backend_degraded`` event and warning).
+
+    A loop of solves (the Benders master) calls this once up front, so it
+    degrades once rather than on every solve.  ``"auto"`` stays ``"auto"``
+    while HiGHS is there, keeping its runtime fallback to the simplex.
+    """
+    if backend == "auto" and not scipy_available():
+        _degrade(telemetry, "scipy", "simplex", "scipy is not importable")
+        return "simplex"
+    return backend
+
+
 def _dispatch(
     problem: CompiledProblem,
     backend: str,
@@ -151,26 +165,21 @@ def solve_compiled(
             return done(SolverResult(status=SolverStatus.INFEASIBLE, extra={"presolve": pre}))
         problem = pre.problem
 
+    backend = resolve_auto(backend, telemetry)
     if backend == "auto":
-        if scipy_available():
-            backend = "scipy"
-        else:
-            _degrade(telemetry, "scipy", "simplex", "scipy is not importable")
-            backend = "simplex"
         # The auto chain also absorbs runtime failures of the fast path:
         # an ERROR status or unexpected exception from HiGHS retries on the
         # pure-Python stack instead of surfacing a crash to the planner.
-        if backend == "scipy":
-            try:
-                res = _dispatch(problem, "scipy", bb_options, deadline, telemetry, backend_kwargs)
-            except Exception as exc:  # pragma: no cover - defensive path
-                _degrade(telemetry, "scipy", "simplex", f"runtime failure: {exc}")
-                res = None
-            if res is not None and res.status is not SolverStatus.ERROR:
-                return done(res)
-            if res is not None:
-                _degrade(telemetry, "scipy", "simplex", "backend returned ERROR status")
-            backend = "simplex"
+        try:
+            res = _dispatch(problem, "scipy", bb_options, deadline, telemetry, backend_kwargs)
+        except Exception as exc:  # pragma: no cover - defensive path
+            _degrade(telemetry, "scipy", "simplex", f"runtime failure: {exc}")
+            res = None
+        if res is not None and res.status is not SolverStatus.ERROR:
+            return done(res)
+        if res is not None:
+            _degrade(telemetry, "scipy", "simplex", "backend returned ERROR status")
+        backend = "simplex"
 
     return done(_dispatch(problem, backend, bb_options, deadline, telemetry, backend_kwargs))
 

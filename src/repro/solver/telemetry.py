@@ -160,17 +160,6 @@ class Deadline:
     def expired(self) -> bool:
         return self.remaining() <= 0.0
 
-    def tightened(self, budget: float) -> "Deadline":
-        """This deadline, or a fresh one over ``budget`` if that is sooner.
-
-        Merges a caller-supplied deadline with a shorter budget of one
-        layer without resetting the caller's clock.
-        """
-        if budget >= self.remaining():
-            return self
-        fresh = Deadline(budget, clock=self._clock)
-        return fresh
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(budget={self.budget}, remaining={self.remaining():.3f})"
 

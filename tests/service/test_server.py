@@ -89,6 +89,17 @@ def assert_exact_and_within_caps(plan, payload):
     assert plan["total_cost"] == pytest.approx(11.328, abs=1e-9)
 
 
+def cap_breaking_noplan(instance):
+    """A faulty degraded planner: all demand generated in slot 0, over its cap."""
+    from repro.core import RentalPlan
+    from repro.solver import SolverStatus
+
+    alpha = np.zeros(instance.horizon)
+    alpha[0] = instance.net_demand.sum()
+    return RentalPlan.priced(instance, alpha, instance.inventory(alpha),
+                             (alpha > 0).astype(float), status=SolverStatus.FEASIBLE)
+
+
 class TestServiceCore:
     def test_solve_then_cache_hit(self, service):
         status, body = service.submit(DRRP)
@@ -246,6 +257,42 @@ class TestServiceCore:
             assert job.plan["status"] == "time_limit"
             assert job.plan["total_cost"] == pytest.approx(12.528, abs=1e-9)
             assert len(svc.cache) == 0
+
+    def test_overload_invalid_degraded_plan_is_500(self, monkeypatch):
+        import repro.core
+
+        monkeypatch.setattr(repro.core, "solve_noplan", cap_breaking_noplan)
+        capped = knocked_payload(capacity=[0.7] * 6)
+        with PlanningService(ServiceConfig(workers=0, queue_size=1)) as svc:
+            svc.submit(other(95))
+            status, body = svc.submit({**capped, "on_overload": "degrade"})
+            assert status == 500
+            assert body["degrade_invalid"] is True
+            assert body["error"].startswith("DegradeInvalid: ")
+            assert "capacity" in body["error"]
+            assert svc.registry.counter("service_degrade_invalid").value == 1
+            assert svc.registry.counter("service_degraded").value == 0
+            assert len(svc.cache) == 0
+
+    def test_deadline_invalid_degraded_plan_is_500(self, monkeypatch):
+        import repro.core
+        from repro.service import executor
+
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("solver gave up")
+
+        monkeypatch.setattr(executor, "execute_request", no_solve)
+        monkeypatch.setattr(repro.core, "solve_noplan", cap_breaking_noplan)
+        capped = knocked_payload(capacity=[0.7] * 6)
+        with PlanningService(ServiceConfig(workers=1)) as svc:
+            _, body = svc.submit({**capped, "time_limit": 1e-9})
+            job = wait_done(svc, body["job"]["id"])
+            assert job.state.value == "failed"
+            status, view = svc.plan_view(job.id)
+            assert status == 500 and view["degrade_invalid"] is True
+            assert view["error"].startswith("DegradeInvalid: ")
+            assert svc.registry.counter("service_degrade_invalid").value == 1
+            assert svc.registry.counter("service_degrade_refused").value == 0
 
     def test_deadline_refusal_fails_the_job_and_the_worker_lives(self):
         # Slot 0 is knocked out but carries the first net demand: the

@@ -97,6 +97,25 @@ class TestParallelFanOut:
         assert res.extra["workers"] == 2
 
 
+class TestWithoutScipy:
+    def test_auto_master_degrades_once(self, monkeypatch):
+        import repro.solver.interface as interface_mod
+        from repro.solver import solve_compiled
+
+        monkeypatch.setattr(interface_mod, "scipy_available", lambda: False)
+        tsp = _complete_recourse(seed=0)
+        rec = EventRecorder()
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            res = solve_benders(tsp, options=BendersOptions(n_workers=1), listener=rec)
+        assert res.status is SolverStatus.OPTIMAL
+        assert res.nodes >= 2  # several master solves, one degradation
+        degraded = rec.of_kind("backend_degraded")
+        assert len(degraded) == 1
+        assert degraded[0].data["to_backend"] == "simplex"
+        ref = solve_compiled(extensive_form(tsp), backend="simplex")
+        assert res.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
 class TestDeadline:
     def test_zero_budget_returns_time_limit(self):
         from repro.solver.telemetry import Deadline

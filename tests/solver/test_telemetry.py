@@ -69,14 +69,6 @@ class TestDeadlineObject:
         with pytest.raises(ValueError):
             Deadline(-1.0)
 
-    def test_tightened_keeps_sooner(self):
-        dl = Deadline(1000.0)
-        assert dl.tightened(math.inf) is dl
-        assert dl.tightened(2000.0) is dl
-        tight = dl.tightened(0.001)
-        assert tight is not dl
-        assert tight.remaining() <= dl.remaining()
-
 
 class TestAutoFallback:
     """Regression: backend='auto' used to dispatch to scipy unconditionally
