@@ -7,8 +7,9 @@ Commands mirror the library's main workflows:
 ``run``
     Observed run of a DRRP solve (``run drrp``) or a paper experiment
     (``run fig10``): writes a Chrome trace (``--trace``), a provenance
-    ``manifest.json`` + JSONL event log (``--out-dir``), and prints the
-    span tree / metrics report (see :mod:`repro.obs`).
+    ``manifest.json`` + ``events.jsonl`` (``--out-dir``; the one event-log
+    format, headed by a ``process_meta`` line), and prints the span tree /
+    metrics report (:func:`repro.obs.record_run`).
 ``analyze``
     Run the spot-price predictability summary for one class.
 ``simulate``
@@ -37,10 +38,10 @@ Commands mirror the library's main workflows:
     (:mod:`repro.fleet`): heuristic tier, gap-triggered MILP escalation,
     pool-overload repair; prints per-pool usage and the method mix.
 ``trace``
-    Merge per-process JSONL event files (``simulate --trace-dir``, the
-    service's per-job captures, ``run --out-dir``) into one Chrome trace
-    with real pid lanes and cross-process flow arrows
-    (:mod:`repro.obs.propagate`).
+    Merge event logs (``simulate --trace-dir``, the service's per-job
+    captures, ``run --out-dir``) into one Chrome trace with a pid lane
+    per ``process_meta`` label, clocks aligned on each ``wall_t0``, and
+    cross-process flow arrows (:mod:`repro.obs.propagate`).
 ``profile``
     Deterministic phase profiler (:mod:`repro.obs.prof`): attribute the
     wall time of a recorded event log (``run drrp --out-dir D`` writes
@@ -314,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="MILP backend for escalated tenants (default auto)")
     p_pf.add_argument("--workers", type=int, default=None,
                       help="per-tenant fan-out width (default: auto)")
-    p_pf.add_argument("--no-escalate", action="store_true",
-                      help="heuristic tier only; skip gap-triggered MILP escalation")
     p_pf.add_argument("--json", action="store_true", dest="as_json",
                       help="print the full fleet summary as JSON")
 
@@ -432,20 +431,9 @@ def _cmd_plan(args) -> int:
 
 
 def _run_drrp_observed(args) -> int:
-    from pathlib import Path
-
     from repro.core import DRRPInstance, NormalDemand, on_demand_schedule, solve_drrp
     from repro.market import ec2_catalog
-    from repro.obs import (
-        MetricsAggregator,
-        MetricsRegistry,
-        RunManifest,
-        Tracer,
-        render_report as render_obs_report,
-        write_chrome_trace,
-        write_events_jsonl,
-    )
-    from repro.solver import EventRecorder, Telemetry
+    from repro.obs import RunManifest, record_run
 
     catalog = ec2_catalog()
     if args.vm not in catalog:
@@ -457,64 +445,63 @@ def _run_drrp_observed(args) -> int:
     backend = args.backend or "auto"
     demand = NormalDemand().sample(horizon, seed)
     inst = DRRPInstance(demand=demand, costs=on_demand_schedule(vm, horizon), vm_name=vm.name)
-
-    recorder = EventRecorder()
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    hub = Telemetry(listeners=[recorder, tracer, MetricsAggregator(registry)])
     solve_kwargs = {}
     if args.time_limit is not None:
         solve_kwargs["time_limit"] = args.time_limit
         solve_kwargs["warm_start"] = True
+
+    def manifest(plan, events) -> RunManifest:
+        return RunManifest.from_run(
+            "plan",
+            f"drrp:{vm.name}/{horizon}",
+            result={  # the replay-stable view of the plan
+                "vm": vm.name,
+                "horizon": horizon,
+                "status": plan.status.value,
+                "total_cost": float(plan.total_cost),
+                "alpha": [float(x) for x in plan.alpha],
+                "beta": [float(x) for x in plan.beta],
+                "chi": [int(round(float(x))) for x in plan.chi],
+            },
+            seed=seed,
+            config={"vm": vm.name, "horizon": horizon, "backend": backend,
+                    "time_limit": args.time_limit},
+            recorded_events=events,
+            deadline_budget=args.time_limit,
+            elapsed=events[-1].t if events else None,
+        )
+
     try:
-        plan = solve_drrp(inst, backend=backend, listener=hub, **solve_kwargs)
+        run = record_run(
+            lambda hub: solve_drrp(inst, backend=backend, listener=hub, **solve_kwargs),
+            manifest, label=f"repro drrp {vm.name}", out_dir=args.out_dir,
+            trace_path=args.trace, trace_name="drrp.trace.json",
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"no plan within the budget: {exc}", file=sys.stderr)
-        print(recorder.summary_line(), file=sys.stderr)
         return 1
-    roots = tracer.finish()
 
-    print(f"{vm.name}: horizon {horizon}h, DRRP cost ${plan.total_cost:.2f} "
-          f"(status {plan.status.value})")
-    print()
-    print(render_obs_report(roots, registry, tracer.markers))
-    manifest = RunManifest.from_run(
-        "plan",
-        f"drrp:{vm.name}/{horizon}",
-        result={  # the replay-stable view of the plan
-            "vm": vm.name,
-            "horizon": horizon,
-            "status": plan.status.value,
-            "total_cost": float(plan.total_cost),
-            "alpha": [float(x) for x in plan.alpha],
-            "beta": [float(x) for x in plan.beta],
-            "chi": [int(round(float(x))) for x in plan.chi],
-        },
-        seed=seed,
-        config={"vm": vm.name, "horizon": horizon, "backend": backend,
-                "time_limit": args.time_limit},
-        recorded_events=recorder.events,
-        deadline_budget=args.time_limit,
-        elapsed=recorder.events[-1].t if recorder.events else None,
-    )
-    print()
-    print(manifest.summary_line())
-    trace_path = args.trace
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        print(f"manifest: {manifest.write(out_dir / 'manifest.json')}")
-        print(f"events: {write_events_jsonl(out_dir / 'events.jsonl', recorder.events)}")
-        if trace_path is None:
-            trace_path = out_dir / "drrp.trace.json"
-    if trace_path is not None:
-        path = write_chrome_trace(trace_path, roots, tracer.markers,
-                                  label=f"repro drrp {vm.name}")
-        print(f"trace: {path}")
+    print(f"{vm.name}: horizon {horizon}h, DRRP cost ${run.result.total_cost:.2f} "
+          f"(status {run.result.status.value})")
+    _print_recorded_run(run)
     return 0
+
+
+def _print_recorded_run(run) -> None:
+    """The span tree / metrics report, manifest line and written paths."""
+    from repro.obs import render_report as render_obs_report
+
+    print()
+    print(render_obs_report(run.roots, run.registry, run.markers))
+    print()
+    print(run.manifest.summary_line())
+    for label, path in (("manifest", run.manifest_path), ("events", run.events_path),
+                        ("trace", run.trace_path)):
+        if path is not None:
+            print(f"{label}: {path}")
 
 
 def _cmd_run(args) -> int:
@@ -524,7 +511,6 @@ def _cmd_run(args) -> int:
     import inspect
 
     from repro.experiments.report import ALL_EXPERIMENTS, run_instrumented
-    from repro.obs import render_report as render_obs_report
 
     if args.target not in ALL_EXPERIMENTS:
         print(
@@ -544,14 +530,7 @@ def _cmd_run(args) -> int:
         kwargs = {k: v for k, v in kwargs.items() if k in params}
     run = run_instrumented(args.target, out_dir=args.out_dir, trace_path=args.trace, **kwargs)
     print(run.result.to_text())
-    print()
-    print(render_obs_report(run.roots, run.registry, run.markers))
-    print()
-    print(run.manifest.summary_line())
-    for label, path in (("manifest", run.manifest_path), ("events", run.events_path),
-                        ("trace", run.trace_path)):
-        if path is not None:
-            print(f"{label}: {path}")
+    _print_recorded_run(run)
     return 0
 
 
@@ -729,7 +708,7 @@ def _render_recorded_file(path) -> tuple[str, int]:
         RunManifest,
         Tracer,
         load_chrome_trace,
-        read_events_jsonl,
+        read_process_events,
         render_report as render_obs_report,
     )
     from repro.solver.telemetry import SolveEvent
@@ -762,7 +741,7 @@ def _render_recorded_file(path) -> tuple[str, int]:
         ]
     else:
         try:
-            events = read_events_jsonl(path)
+            _, events = read_process_events(path)
         except (json.JSONDecodeError, KeyError, ValueError, OSError):
             return f"error: {path} is not a trace, manifest, or event log", 2
     registry = MetricsRegistry()
@@ -980,10 +959,8 @@ def _cmd_plan_fleet(args) -> int:
     try:
         tenants = generate_tenants(args.tenants, seed=args.seed, horizon=args.horizon)
         pools = uniform_pools(tenants, utilization=args.utilization)
-        config = FleetConfig(
-            backend=args.backend, workers=args.workers, escalate=not args.no_escalate
-        )
-        fleet = plan_fleet(tenants, pools, config)
+        fleet = plan_fleet(tenants, pools,
+                           FleetConfig(backend=args.backend, workers=args.workers))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

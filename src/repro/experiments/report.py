@@ -7,15 +7,17 @@ and prints them — the programmatic backbone of EXPERIMENTS.md.
 ``repro run``: it wraps one experiment in a root span, records the full
 event stream, and produces a ``manifest.json`` (seed/config, package
 versions, backend chain, event counts, result digest) plus optional
-Chrome-trace and JSONL dumps, so any figure can be replayed and diffed.
+Chrome-trace and event-log files, so any figure can be replayed and
+diffed.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable
+
+from repro.obs import InstrumentedRun
 
 from .base import ExperimentResult
 from . import (
@@ -71,26 +73,10 @@ def render_report(results: dict[str, ExperimentResult]) -> str:
     return "\n\n".join(results[eid].to_text() for eid in results)
 
 
-@dataclass
-class InstrumentedRun:
-    """Everything one observed experiment run produced."""
-
-    result: ExperimentResult
-    manifest: "RunManifest"  # noqa: F821 - imported lazily below
-    roots: list = dc_field(default_factory=list)     # span forest
-    markers: list = dc_field(default_factory=list)
-    events: list = dc_field(default_factory=list)
-    registry: object = None                          # MetricsRegistry
-    manifest_path: Path | None = None
-    trace_path: Path | None = None
-    events_path: Path | None = None
-
-
 def run_instrumented(
     eid: str,
     out_dir: str | Path | None = None,
     trace_path: str | Path | None = None,
-    listener=None,
     **runner_kwargs,
 ) -> InstrumentedRun:
     """Run one experiment under full observability.
@@ -98,67 +84,39 @@ def run_instrumented(
     The run is bracketed by an ``experiment:<eid>`` root span; runners
     that accept a ``listener`` parameter (e.g. fig10) additionally stream
     every inner solve's events into the same hub.  With ``out_dir`` set,
-    ``manifest.json`` and ``events.jsonl`` are written there; with
-    ``trace_path`` set, a Chrome trace-event file is written too.
-    ``runner_kwargs`` (seed, horizon, backend, ...) are forwarded to the
-    runner and recorded in the manifest's config.
+    ``manifest.json``, ``events.jsonl`` and ``<eid>.trace.json`` are
+    written there (:func:`repro.obs.record_run`); ``trace_path`` names
+    the Chrome trace explicitly.  ``runner_kwargs`` (seed, horizon,
+    backend, ...) are forwarded to the runner and recorded in the
+    manifest's config.
     """
-    from repro.obs import (
-        MetricsAggregator,
-        MetricsRegistry,
-        RunManifest,
-        Tracer,
-        span,
-        write_chrome_trace,
-        write_events_jsonl,
-    )
-    from repro.solver.telemetry import EventRecorder, Telemetry
+    from repro.obs import RunManifest, record_run, span
 
     if eid not in ALL_EXPERIMENTS:
         raise ValueError(f"unknown experiment id {eid!r}; expected one of {sorted(ALL_EXPERIMENTS)}")
     runner = ALL_EXPERIMENTS[eid]
+    takes_listener = "listener" in inspect.signature(runner).parameters
 
-    recorder = EventRecorder()
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    listeners = [recorder, tracer, MetricsAggregator(registry)]
-    if listener is not None:
-        listeners.append(listener)
-    hub = Telemetry(listeners=listeners)
+    def run(hub) -> ExperimentResult:
+        kwargs = {**runner_kwargs, "listener": hub} if takes_listener else runner_kwargs
+        with span(hub, f"experiment:{eid}") as info:
+            result = runner(**kwargs)
+            info["rows"] = len(result.rows)
+        return result
 
-    kwargs = dict(runner_kwargs)
-    if "listener" in inspect.signature(runner).parameters:
-        kwargs.setdefault("listener", hub)
-    with span(hub, f"experiment:{eid}") as info:
-        result = runner(**kwargs)
-        info["rows"] = len(result.rows)
-    roots = tracer.finish()
+    def manifest(result: ExperimentResult, events: list) -> RunManifest:
+        return RunManifest.from_run(
+            "experiment",
+            eid,
+            result=result.to_dict(),
+            seed=runner_kwargs.get("seed"),
+            config=runner_kwargs,
+            recorded_events=events,
+            elapsed=events[-1].t if events else None,
+        )
 
-    seed = kwargs.get("seed")
-    config = {k: v for k, v in kwargs.items() if k != "listener"}
-    manifest = RunManifest.from_run(
-        "experiment",
-        eid,
-        result=result.to_dict(),
-        seed=seed,
-        config=config,
-        recorded_events=recorder.events,
-        elapsed=recorder.events[-1].t if recorder.events else None,
-    )
-    run = InstrumentedRun(
-        result=result, manifest=manifest, roots=roots,
-        markers=tracer.markers, events=recorder.events, registry=registry,
-    )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        run.manifest_path = manifest.write(out_dir / "manifest.json")
-        run.events_path = write_events_jsonl(out_dir / "events.jsonl", recorder.events)
-        if trace_path is None:
-            trace_path = out_dir / f"{eid}.trace.json"
-    if trace_path is not None:
-        run.trace_path = write_chrome_trace(trace_path, roots, tracer.markers, label=f"repro {eid}")
-    return run
+    return record_run(run, manifest, label=f"repro {eid}", out_dir=out_dir,
+                      trace_path=trace_path, trace_name=f"{eid}.trace.json")
 
 
 def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI

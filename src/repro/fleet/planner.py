@@ -51,7 +51,7 @@ from repro.fleet.pool import (
 from repro.fleet.tenants import SLAS, Tenant
 from repro.obs.spans import span
 from repro.parallel.pool import default_workers, parallel_map
-from repro.solver.telemetry import Telemetry
+from repro.solver.telemetry import Deadline, Telemetry
 
 __all__ = ["FleetConfig", "TenantOutcome", "FleetPlan", "plan_fleet"]
 
@@ -64,7 +64,6 @@ class FleetConfig:
     workers: int | None = None  # None -> repro.parallel.default_workers()
     max_search_rounds: int = 40
     max_repair_rounds: int | None = None  # None -> tenants * horizon
-    escalate: bool = True  # False: heuristic-only (the service's degraded mode)
 
     def __post_init__(self) -> None:
         if self.max_search_rounds < 1:
@@ -184,14 +183,14 @@ def _plan_tenant(item: tuple) -> TenantOutcome:
     (module-level so ``parallel_map`` can pickle it; ``plan_fleet`` looks
     it up at call time).  The outcome's ``method`` is ``"milp"`` for an
     escalated tenant whichever exact solver ``backend`` picks."""
-    tenant_id, instance, knocked, gap_tol, escalate, backend, max_rounds = item
+    tenant_id, instance, knocked, gap_tol, backend, max_rounds = item
     knocked_instance = _knock(instance, knocked)
     method, reason, gap, lower = "heuristic", "", None, None
     plan = None
     try:
         result = solve_heuristic(knocked_instance, max_rounds=max_rounds)
         gap, lower, plan = result.gap, result.lower_bound, result.plan
-        if escalate and math.isfinite(gap_tol) and result.gap > gap_tol:
+        if math.isfinite(gap_tol) and result.gap > gap_tol:
             method, reason, plan = "milp", "gap", None
     except HeuristicInfeasible:
         # Correctness beats tiering: a tenant the heuristic cannot serve
@@ -272,12 +271,14 @@ def plan_fleet(
     pools: dict[str, CapacityPool],
     config: FleetConfig | None = None,
     listener=None,
+    deadline: Deadline | None = None,
 ) -> FleetPlan:
     """Plan every tenant, then repair shared-pool overloads.
 
     Raises ``ValueError`` when a pool is structurally infeasible (pinned
     renters alone exceed a slot's capacity) and ``RuntimeError`` when
-    repair exceeds its round budget.
+    repair exceeds its round budget or ``deadline`` has expired before a
+    planning batch (the first plans or a repair round's re-plans).
     """
     if not tenants:
         raise ValueError("plan_fleet needs at least one tenant")
@@ -293,13 +294,16 @@ def plan_fleet(
     knocked: dict[int, set[int]] = defaultdict(set)
 
     def run_batch(ids: list[int], phase: str) -> None:
+        if deadline is not None and deadline.expired():
+            raise RuntimeError(
+                f"fleet planning deadline of {deadline.budget:g}s expired before {phase}"
+            )
         items = [
             (
                 tid,
                 by_id[tid].instance,
                 tuple(sorted(knocked[tid])),
                 SLAS[by_id[tid].sla].gap_tolerance,
-                cfg.escalate,
                 cfg.backend,
                 cfg.max_search_rounds,
             )

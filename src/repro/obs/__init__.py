@@ -13,14 +13,14 @@ changes required to adopt it:
   (:class:`Tracer`) and the explicit :func:`span` context manager;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms/series with a
   zero-cost disabled path (:data:`NULL_REGISTRY`);
-* :mod:`repro.obs.exporters` — JSONL event logs, Chrome
-  trace-event / Perfetto span dumps with a lossless loader, and the
-  terminal report;
+* :mod:`repro.obs.exporters` — Chrome trace-event / Perfetto span
+  dumps with a lossless loader, and the terminal report;
 * :mod:`repro.obs.manifest` — per-run provenance manifests with result
   digests, for replaying and diffing figure/fuzz runs;
 * :mod:`repro.obs.propagate` — W3C-``traceparent``-style
   :class:`TraceContext` carried across ``parallel_map`` forks and
-  service HTTP hops, per-process event files, and the cross-process
+  service HTTP hops, the one on-disk event log (``process_meta`` JSONL),
+  recorded-run directories (:func:`record_run`), and the cross-process
   trace merge behind ``repro trace``;
 * :mod:`repro.obs.prof` — the deterministic phase profiler
   (:func:`profile_events`) and speedscope export behind ``repro profile``.
@@ -31,13 +31,11 @@ formats.
 
 from .exporters import (
     load_chrome_trace,
-    read_events_jsonl,
     render_report,
     render_span_tree,
     to_chrome_trace,
     top_self_time,
     write_chrome_trace,
-    write_events_jsonl,
 )
 from .manifest import (
     RunManifest,
@@ -69,6 +67,7 @@ from .prof import (
 )
 from .propagate import (
     TRACEPARENT_HEADER,
+    InstrumentedRun,
     TraceContext,
     activate,
     collect_event_files,
@@ -77,8 +76,10 @@ from .propagate import (
     merge_process_traces,
     parse_traceparent,
     read_process_events,
+    record_run,
     write_merged_trace,
     write_process_events,
+    write_run,
 )
 from .spans import Marker, Span, Tracer, span
 
@@ -108,6 +109,10 @@ __all__ = [
     "write_process_events",
     "read_process_events",
     "collect_event_files",
+    # recorded runs
+    "InstrumentedRun",
+    "record_run",
+    "write_run",
     "merge_process_traces",
     "write_merged_trace",
     # profiler
@@ -118,8 +123,6 @@ __all__ = [
     "to_speedscope",
     "write_speedscope",
     # exporters
-    "write_events_jsonl",
-    "read_events_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",

@@ -1,9 +1,8 @@
-"""Trace and event exporters: JSONL, Chrome trace-event, terminal report.
+"""Span exporters: Chrome trace-event and terminal report.
 
-Three interchange formats over one span tree:
+Two renderings of one span tree (the event log itself is written by
+:func:`repro.obs.propagate.write_process_events`):
 
-* **JSONL** — one JSON object per line per event; greppable, streamable,
-  and the format CI uploads as an artifact.
 * **Chrome trace-event** — a ``{"traceEvents": [...]}`` document loadable
   in ``chrome://tracing`` and https://ui.perfetto.dev.  Spans are emitted
   as complete (``"ph": "X"``) events with microsecond timestamps; markers
@@ -20,19 +19,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from typing import TYPE_CHECKING
-
 from repro.serialize import jsonable
 
 from .metrics import MetricsRegistry
 from .spans import Marker, Span
 
-if TYPE_CHECKING:  # annotation-only: keeps this module stdlib-importable
-    from repro.solver.telemetry import SolveEvent
-
 __all__ = [
-    "write_events_jsonl",
-    "read_events_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
@@ -40,40 +32,6 @@ __all__ = [
     "render_span_tree",
     "render_report",
 ]
-
-
-# -- JSONL event log -------------------------------------------------------
-
-
-def write_events_jsonl(path: str | Path, events) -> Path:
-    """Write one JSON object per event (``kind``, ``t``, payload flattened)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for ev in events:
-            fh.write(json.dumps(jsonable(ev.to_dict()), allow_nan=False))
-            fh.write("\n")
-    return path
-
-
-def read_events_jsonl(path: str | Path) -> list[SolveEvent]:
-    """Load a JSONL event log back into :class:`SolveEvent` records."""
-    from repro.solver.telemetry import SolveEvent
-
-    events = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        kind = obj.pop("kind")
-        if kind == "process_meta":
-            # Process event files (repro.obs.propagate) prefix the log with
-            # one metadata line; plain event readers skip it.
-            continue
-        t = float(obj.pop("t"))
-        events.append(SolveEvent(kind=kind, t=t, data=obj))
-    return events
 
 
 # -- Chrome trace-event format ---------------------------------------------

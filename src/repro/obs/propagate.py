@@ -18,9 +18,12 @@ both:
   :func:`activate`), so layers that never see each other — a campaign
   loop, the service client inside a policy, the pool — agree on the
   active trace without threading it through every signature.
-* **Per-process event files** (:func:`write_process_events`): the
-  ordinary JSONL event log prefixed with one ``process_meta`` line
+* **Per-process event files** (:func:`write_process_events`): the one
+  on-disk event log, JSONL prefixed with one ``process_meta`` line
   recording the process label, wall-clock epoch, and trace identity.
+* **Recorded runs** (:func:`record_run`, :func:`write_run`): one run's
+  ``manifest.json`` + ``events.jsonl`` (+ Chrome trace) directory, as
+  ``repro run`` and the service's per-job captures write it.
 * :func:`merge_process_traces` — stitches any number of per-process
   files into a single Chrome-trace document: one pid lane per process,
   tid lanes per worker, clocks aligned on the recorded wall epochs, and
@@ -37,13 +40,19 @@ import json
 import os
 import re
 import threading
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.serialize import jsonable
+
+from .exporters import _US, to_chrome_trace, write_chrome_trace
+from .manifest import RunManifest
+from .metrics import MetricsAggregator, MetricsRegistry
+from .spans import Tracer
 
 if TYPE_CHECKING:  # annotation-only: keeps this module stdlib-importable
     from repro.solver.telemetry import SolveEvent
@@ -57,6 +66,9 @@ __all__ = [
     "ensure_trace",
     "write_process_events",
     "read_process_events",
+    "InstrumentedRun",
+    "record_run",
+    "write_run",
     "collect_event_files",
     "merge_process_traces",
     "write_merged_trace",
@@ -228,8 +240,8 @@ def write_process_events(
 def read_process_events(path: str | Path) -> "tuple[dict | None, list[SolveEvent]]":
     """Load a process event file: ``(meta or None, events)``.
 
-    Plain event logs (no ``process_meta`` line) load with ``meta=None``,
-    so the merge CLI accepts the artifacts older code already writes.
+    Event logs without a ``process_meta`` line (as older code wrote
+    them) load with ``meta=None``.
     """
     from repro.solver.telemetry import SolveEvent
 
@@ -249,6 +261,76 @@ def read_process_events(path: str | Path) -> "tuple[dict | None, list[SolveEvent
         t = float(obj.pop("t"))
         events.append(SolveEvent(kind=kind, t=t, data=obj))
     return meta, events
+
+
+# -- recorded runs -----------------------------------------------------------
+
+
+@dataclass
+class InstrumentedRun:
+    """Everything one recorded run produced (see :func:`record_run`)."""
+
+    result: Any                                      # what the run returned
+    manifest: RunManifest
+    roots: list = field(default_factory=list)        # span forest
+    markers: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    registry: object = None                          # MetricsRegistry
+    manifest_path: Path | None = None
+    trace_path: Path | None = None
+    events_path: Path | None = None
+
+
+def write_run(out_dir: str | Path, manifest: RunManifest, events, **meta) -> tuple[Path, Path]:
+    """Write one run's directory: ``manifest.json`` and ``events.jsonl``.
+
+    ``meta`` (``label``, ``trace``, ``parent_span_id``, ``wall_t0``) goes
+    to the events file's ``process_meta`` line
+    (:func:`write_process_events`).  Returns both paths.
+    """
+    out_dir = Path(out_dir)
+    return (manifest.write(out_dir / "manifest.json"),
+            write_process_events(out_dir / "events.jsonl", events, **meta))
+
+
+def record_run(
+    run: Callable,
+    manifest: Callable[[Any, list], RunManifest],
+    *,
+    label: str,
+    trace_name: str,
+    out_dir: str | Path | None = None,
+    trace_path: str | Path | None = None,
+) -> InstrumentedRun:
+    """Call ``run(hub)`` under a recording hub and keep what it produced.
+
+    The hub fans every event out to an event recorder, a :class:`Tracer`
+    and a metrics aggregator; ``manifest(result, events)`` builds the
+    run's :class:`RunManifest`.
+    With ``out_dir`` set, :func:`write_run` writes the run directory
+    (events labelled ``label`` on the hub's wall clock) and the Chrome
+    trace defaults to ``out_dir/trace_name``; ``trace_path`` names it
+    explicitly.  An exception from ``run`` propagates; nothing is written.
+    """
+    from repro.solver.telemetry import EventRecorder, Telemetry
+
+    recorder, tracer, registry = EventRecorder(), Tracer(), MetricsRegistry()
+    wall_t0 = time.time()
+    result = run(Telemetry(listeners=[recorder, tracer, MetricsAggregator(registry)]))
+    out = InstrumentedRun(
+        result=result, manifest=manifest(result, recorder.events),
+        roots=tracer.finish(), markers=tracer.markers,
+        events=recorder.events, registry=registry,
+    )
+    if out_dir is not None:
+        out.manifest_path, out.events_path = write_run(
+            out_dir, out.manifest, recorder.events, label=label, wall_t0=wall_t0,
+        )
+        if trace_path is None:
+            trace_path = Path(out_dir) / trace_name
+    if trace_path is not None:
+        out.trace_path = write_chrome_trace(trace_path, out.roots, out.markers, label=label)
+    return out
 
 
 def collect_event_files(root: str | Path) -> list[Path]:
@@ -274,9 +356,6 @@ def merge_process_traces(paths, label: str = "merged") -> dict:
     to effect across the pid lanes.  The document's ``otherData`` lists
     every distinct trace id seen — a healthy end-to-end run has one.
     """
-    from .exporters import _US, to_chrome_trace
-    from .spans import Tracer
-
     procs = []
     for p in paths:
         p = Path(p)

@@ -242,21 +242,13 @@ class ServiceClient:
         body = dict(payload)
         if wait_s is not None:
             body["wait_s"] = wait_s
-        status, resp, headers = self._request("POST", "/v1/plan", body)
-        if status in (429, 503):
-            try:
-                retry_after = float(headers.get("Retry-After", resp.get("retry_after", 1.0)))
-            except (TypeError, ValueError):
-                retry_after = 1.0
-            raise Saturated(status, resp, retry_after=retry_after)
+        status, resp = self._checked("POST", "/v1/plan", body, ok=(200, 504))
         if status == 504:
             job_id = resp.get("job", {}).get("id", "")
             job = self.wait(job_id, timeout=wait_s or self.timeout)
             if job["state"] == "failed":
                 raise ServiceError(500, {"error": job.get("error")})
             return SubmitResult.from_body({"job": job, "plan": self.plan(job_id)})
-        if status != 200:
-            raise ServiceError(status, resp)
         return SubmitResult.from_body(resp)
 
 

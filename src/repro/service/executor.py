@@ -12,7 +12,9 @@ Two paths:
     and returns the JSON plan payload.  DRRP solves run warm-started so
     an expired budget still yields the Wagner-Whitin incumbent (status
     ``time_limit``) instead of an error; an SRRP solve falls back to the
-    tree-DP policy the same way.
+    tree-DP policy the same way.  A fleet job checks its budget before
+    each planning batch and raises ``RuntimeError`` once it has expired;
+    a fleet plan finished past its budget says ``time_limit``.
 
 :func:`degraded_request`
     The overload/expiry fallback: polynomial-time planners only, no
@@ -22,10 +24,11 @@ Two paths:
     an SRRP answer stays vertex-indexed like a solved one); any other
     capacitated DRRP gets the no-plan scheme when it fits every slot's
     cap.  The returned payload carries ``degraded`` naming the planner;
-    a request no such planner can answer within its caps raises
-    :class:`DegradeRefused`.  Every plan is checked with its own
-    ``validate`` (balance, forcing, signs and, for DRRP, each slot's cap)
-    before it leaves; a plan that fails raises :class:`DegradeInvalid`.
+    a request no such planner can answer within its caps, and every
+    fleet request, raises :class:`DegradeRefused`.  Every plan is
+    checked with its own ``validate`` (balance, forcing, signs and, for
+    DRRP, each slot's cap) before it leaves; a plan that fails raises
+    :class:`DegradeInvalid`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def execute_request(
     """
     kind = request["kind"]
     if kind == "fleet":
-        return _fleet_request(request, listener=listener)
+        return _fleet_request(request, time_limit=time_limit, listener=listener)
     instance = build_instance(request)
     solve_kwargs: dict = {"backend": request["backend"]}
     if listener is not None:
@@ -79,27 +82,32 @@ def execute_request(
     return plan_payload(kind, plan)
 
 
-def _fleet_request(request: dict, listener=None, escalate: bool = True) -> dict:
+def _fleet_request(request: dict, time_limit: float | None = None, listener=None) -> dict:
     """Plan one seeded fleet spec; returns the fleet-plan summary payload.
 
     The fan-out inside :func:`repro.fleet.plan_fleet` respects the
     :func:`repro.parallel.serial_guard` every service solve runs under,
     so a fleet job cannot fork-bomb the host from a worker or handler
-    thread.  ``escalate=False`` is the degraded path: heuristic tier
-    only, no gap-triggered MILP.
+    thread.  ``time_limit`` becomes the planner's deadline, checked
+    before each planning batch; an expired one raises ``RuntimeError``.
+    A plan whose last batch ran past the deadline says ``time_limit``.
     """
     from repro.fleet import FleetConfig, generate_tenants, plan_fleet, uniform_pools
+    from repro.solver.telemetry import Deadline
 
     spec = request["fleet"]
     tenants = generate_tenants(
         spec["tenants"], seed=spec["seed"], horizon=spec["horizon"]
     )
     pools = uniform_pools(tenants, utilization=spec["utilization"])
-    config = FleetConfig(backend=request["backend"], escalate=escalate)
-    fleet = plan_fleet(tenants, pools, config, listener=listener)
+    deadline = Deadline.from_budget(time_limit=time_limit)
+    fleet = plan_fleet(tenants, pools, FleetConfig(backend=request["backend"]),
+                       listener=listener, deadline=deadline)
     payload = fleet.summary(tenants)
     if not fleet.feasible:
         raise RuntimeError(f"fleet plan infeasible: {fleet.failures[:3]}")
+    if deadline is not None and deadline.expired():
+        payload["status"] = "time_limit"  # a whole plan, but past its budget
     return payload
 
 
@@ -109,10 +117,7 @@ def degraded_request(request: dict) -> dict:
     from repro.core.lotsizing import DRRPInfeasible
 
     if request["kind"] == "fleet":
-        payload = _fleet_request(request, escalate=False)
-        payload["degraded"] = "heuristic-only"
-        return payload
-
+        raise DegradeRefused("no degraded fleet plan: a fleet is planned in full or not at all")
     instance = build_instance(request)
     if request["kind"] == "srrp":
         plan, planner = solve_srrp_tree_dp(instance), "tree-dp"

@@ -397,10 +397,8 @@ class PlanningService:
         """Write per-job provenance under ``capture_dir/<job id>/``."""
         from pathlib import Path
 
-        from repro.obs import RunManifest
-        from repro.obs.propagate import write_process_events
+        from repro.obs import RunManifest, write_run
 
-        out = Path(self.config.capture_dir) / job.id
         result = job.plan if job.plan is not None else {"error": job.error}
         extra = {}
         if job.trace is not None:
@@ -419,9 +417,8 @@ class PlanningService:
             elapsed=job.latency,
             extra=extra,
         )
-        manifest.write(out / "manifest.json")
-        write_process_events(
-            out / "events.jsonl", recorder.events,
+        write_run(
+            Path(self.config.capture_dir) / job.id, manifest, recorder.events,
             label=f"service:{job.id}", trace=job.trace,
             parent_span_id=job.trace_parent, wall_t0=job.wall_t0,
         )

@@ -27,7 +27,7 @@ interruption events and replan after each eviction
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -429,8 +429,3 @@ def run_campaign(
         trace=ctx,
         wall_t0=wall_t0,
     )
-
-
-def with_horizon(config: CampaignConfig, **horizon_kwargs) -> CampaignConfig:
-    """Convenience: a copy of ``config`` with horizon knobs replaced."""
-    return replace(config, horizon=replace(config.horizon, **horizon_kwargs))

@@ -61,13 +61,6 @@ class TestPlanFleet:
             if by_id[o.tenant_id].sla == "batch":
                 assert o.reason != "gap"
 
-    def test_escalate_false_keeps_every_unknocked_tenant_heuristic(self):
-        tenants = generate_tenants(16, seed=0, horizon=12)
-        pools = uniform_pools(tenants, utilization=1.0)
-        fleet = plan_fleet(tenants, pools, FleetConfig(workers=1, escalate=False))
-        assert fleet.feasible
-        assert all(o.reason != "gap" for o in fleet.outcomes)
-
     def test_total_cost_is_exact_sum(self):
         tenants = generate_tenants(10, seed=5, horizon=12)
         pools = uniform_pools(tenants, utilization=1.0)

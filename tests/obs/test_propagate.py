@@ -1,6 +1,7 @@
 """Trace-context parsing, ambient propagation, process files, and merging."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,16 +105,21 @@ class TestAmbient:
 class TestProcessFiles:
     def test_round_trip_with_meta(self, tmp_path):
         ctx = TraceContext.new_root()
-        events = [ev("phase_start", 0.0, phase="x"), ev("phase_end", 0.5, phase="x")]
+        events = [ev("phase_start", 0.0, phase="x"), ev("phase_end", 0.5, phase="x"),
+                  ev("incumbent", 0.7, objective=5.0, certificate=Fraction(10, 2))]
         path = tmp_path / "events.jsonl"
         write_process_events(path, events, label="unit", trace=ctx,
                              parent_span_id="f" * 16, wall_t0=123.0)
+        path.write_text(path.read_text().replace("\n", "\n\n"))  # blank lines
         meta, back = read_process_events(path)
         assert meta["label"] == "unit" and meta["wall_t0"] == 123.0
         assert meta["trace"]["trace_id"] == ctx.trace_id
         assert meta["trace"]["parent_span_id"] == "f" * 16
-        assert [e.kind for e in back] == ["phase_start", "phase_end"]
-        assert back[1].t == 0.5 and back[1].data["phase"] == "x"
+        assert [e.kind for e in back] == ["phase_start", "phase_end", "incumbent"]
+        assert [e.t for e in back] == [e.t for e in events]
+        assert back[1].data["phase"] == "x"
+        # Fraction certificates serialize exactly as "p/q" strings
+        assert back[2].data["certificate"] == "5/1"
 
     def test_read_plain_jsonl_has_no_meta(self, tmp_path):
         path = tmp_path / "plain.jsonl"

@@ -1,13 +1,14 @@
 """The /v1/fleet batch endpoint: encoding, execution, degrade, caching."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.service.encoding import BadRequest, normalize_request, request_digest
-from repro.service.executor import degraded_request, execute_request
+from repro.service.executor import DegradeRefused, degraded_request, execute_request
 from repro.service.server import PlanningService, ServiceConfig, serve
 
 
@@ -77,16 +78,23 @@ class TestFleetExecution:
         assert sum(payload["methods"].values()) == 8
         assert len(payload["tenant_plans"]) == 8
 
-    def test_degraded_is_heuristic_only(self):
+    def test_degraded_is_refused(self):
         req = normalize_request({"kind": "fleet", "tenants": 8, "horizon": 10})
-        payload = degraded_request(req)
-        assert payload["degraded"] == "heuristic-only"
-        assert payload["feasible"] is True
-        assert all(p["escalated"] is False or p["method"] == "milp"
-                   for p in payload["tenant_plans"])
-        # No gap-triggered escalations: only infeasible-fallback MILPs.
-        full = execute_request(req)
-        assert payload["escalated"] <= full["escalated"]
+        with pytest.raises(DegradeRefused):
+            degraded_request(req)
+
+    def test_expired_budget_raises_before_the_next_batch(self):
+        req = normalize_request({"kind": "fleet", "tenants": 40, "seed": 3})
+        with pytest.raises(RuntimeError, match="deadline"):
+            execute_request(req, time_limit=0.0)
+
+    def test_plan_finished_past_its_budget_says_time_limit(self):
+        # Roomy pools: no repair round, so the one batch runs past the budget.
+        req = normalize_request({"kind": "fleet", "tenants": 40, "seed": 3,
+                                 "utilization": 1.0})
+        payload = execute_request(req, time_limit=0.005)
+        assert payload["repair_rounds"] == 0 and payload["feasible"] is True
+        assert payload["status"] == "time_limit"
 
 
 class TestFleetEndpoint:
@@ -127,6 +135,7 @@ class TestFleetEndpoint:
 
 class TestFleetOverload:
     def test_degrade_inline_when_saturated(self):
+        """A fleet has no degraded plan: the degrade path refuses it."""
         service = PlanningService(ServiceConfig(workers=0, queue_size=1)).start()
         try:
             # Fill the queue, then force the degrade path.
@@ -135,8 +144,27 @@ class TestFleetOverload:
                 {"kind": "fleet", "tenants": 4, "horizon": 8, "seed": 9,
                  "on_overload": "degrade"}
             )
-            assert status == 200
-            assert body["plan"]["degraded"] == "heuristic-only"
-            assert body["plan"]["feasible"] is True
+            assert status == 429
+            assert body["degrade_refused"] is True
+            assert service.registry.counter("service_degrade_refused").value == 1
         finally:
             service.close()
+
+
+class TestFleetDeadline:
+    def test_expired_budget_answers_well_before_wait_s(self, live):
+        service, httpd = live
+        refused = service.registry.counter("service_degrade_refused").value
+        t0 = time.monotonic()
+        status, out = _post(
+            httpd.url + "/v1/fleet",
+            {"tenants": 40, "seed": 3, "time_limit": 0.01, "wait_s": 5},
+        )
+        elapsed = time.monotonic() - t0
+        assert elapsed < 2.5
+        # The budget ran out between planning batches, and a fleet has no
+        # degraded plan: a failed job, counted as a refusal.
+        assert status == 500
+        assert out["job"]["state"] == "failed"
+        assert out["error"].startswith("DegradeRefused")
+        assert service.registry.counter("service_degrade_refused").value == refused + 1

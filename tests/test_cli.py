@@ -205,7 +205,7 @@ class TestRunCommand:
         assert code == 0
         assert "== span tree ==" in out and "manifest:" in out
 
-        from repro.obs import load_chrome_trace, read_events_jsonl
+        from repro.obs import load_chrome_trace, read_process_events
 
         roots, _ = load_chrome_trace(out_dir / "drrp.trace.json")
         solve_roots = [r for r in roots if r.category == "solve"]
@@ -213,7 +213,7 @@ class TestRunCommand:
         root = solve_roots[0]
 
         # acceptance: root span duration == solve_start -> solve_end, <1 ms off
-        events = read_events_jsonl(out_dir / "events.jsonl")
+        _, events = read_process_events(out_dir / "events.jsonl")
         t0 = next(e.t for e in events if e.kind == "solve_start")
         t1 = next(e.t for e in reversed(events) if e.kind == "solve_end")
         assert abs(root.duration - (t1 - t0)) < 1e-3
@@ -254,6 +254,49 @@ class TestRunCommand:
     def test_unknown_target_exits_2(self, capsys):
         assert main(["run", "bogus"]) == 2
         assert "unknown run target" in capsys.readouterr().err
+
+
+class TestRecordedRunEventLog:
+    """``run`` writes the one event-log format: a ``process_meta`` header
+    that places the run on a wall clock beside service captures."""
+
+    @pytest.mark.parametrize("target, label", [
+        (["drrp", "--horizon", "6", "--seed", "2"], "repro drrp m1.large"),
+        (["fig10", "--trials", "1"], "repro fig10"),
+    ], ids=["drrp", "fig10"])
+    def test_events_start_with_process_meta(self, tmp_path, capsys, target, label):
+        import json
+
+        out_dir = tmp_path / "run"
+        assert main(["run", *target, "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        first = json.loads((out_dir / "events.jsonl").read_text().splitlines()[0])
+        assert first["kind"] == "process_meta"
+        assert first["label"] == label
+        assert first["pid"] == os.getpid()
+        assert isinstance(first["wall_t0"], float)
+
+    def test_trace_merges_run_and_service_capture(self, tmp_path, capsys):
+        import json
+
+        from repro.service import PlanningService, ServiceConfig
+
+        run_dir, cap_dir = tmp_path / "run", tmp_path / "cap"
+        assert main(["run", "drrp", "--horizon", "6", "--out-dir", str(run_dir)]) == 0
+        with PlanningService(ServiceConfig(workers=1, capture_dir=str(cap_dir))) as svc:
+            _, body = svc.submit({"vm": "m1.large", "horizon": 6, "seed": 4})
+            job = svc.wait(body["job"]["id"], timeout=30.0)
+            assert job.state.finished
+        merged = tmp_path / "merged.trace.json"
+        assert main(["trace", str(run_dir), str(cap_dir), "-o", str(merged)]) == 0
+        assert "merged 2 process files" in capsys.readouterr().out
+        doc = json.loads(merged.read_text())
+        lanes = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
+                 if e.get("name") == "process_name"}
+        assert set(lanes) == {"repro drrp m1.large", f"service:{job.id}"}
+        assert len(set(lanes.values())) == 2
+        spans = {e["pid"] for e in doc["traceEvents"] if e.get("ph") == "X"}
+        assert spans == set(lanes.values())
 
 
 class TestReportOnRecordedFiles:
