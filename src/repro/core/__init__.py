@@ -1,6 +1,6 @@
 """The paper's core contribution: DRRP, SRRP, baselines, and simulation."""
 
-from .costs import CostSchedule, on_demand_schedule, spot_schedule
+from .costs import CostSchedule, on_demand_rates, on_demand_schedule, spot_schedule
 from .demand import BurstyDemand, ConstantDemand, DemandModel, DiurnalDemand, NormalDemand
 from .drrp import DRRPInstance, RentalPlan, build_drrp_model, solve_drrp
 from .lotsizing import solve_srrp_tree_dp, solve_wagner_whitin
@@ -48,6 +48,7 @@ from .demand_uncertainty import JointSRRPInstance, build_joint_tree, solve_srrp_
 
 __all__ = [
     "CostSchedule",
+    "on_demand_rates",
     "on_demand_schedule",
     "spot_schedule",
     "BurstyDemand",

@@ -15,13 +15,15 @@ prices (§III), realized spot prices (the oracle), and bid-dependent prices
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from repro.market.catalog import CostRates, VMClass
 
-__all__ = ["CostSchedule", "on_demand_schedule", "spot_schedule"]
+__all__ = ["CostSchedule", "on_demand_rates", "on_demand_schedule", "spot_schedule"]
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,43 @@ class CostSchedule:
         )
 
 
-def on_demand_schedule(vm: VMClass, horizon: int, rates: CostRates | None = None) -> CostSchedule:
-    """Deterministic schedule at fixed on-demand prices (paper §III / §V-A)."""
+def on_demand_rates(vm: VMClass, rates: CostRates | None = None) -> dict[str, float]:
+    """The per-slot price of each :class:`CostSchedule` series at fixed
+    on-demand prices, by field name."""
     rates = rates or CostRates()
+    return {
+        "compute": float(vm.on_demand_price),
+        "storage": float(rates.storage_per_gb_hour),
+        "io": float(rates.io_per_gb),
+        "transfer_in": float(rates.transfer_in_per_gb),
+        "transfer_out": float(rates.transfer_out_per_gb),
+    }
+
+
+@lru_cache(maxsize=256)
+def _constant_series(value: float, sign: float, horizon: int) -> np.ndarray:
+    # ``sign`` only keys the cache: 0.0 == -0.0, but their series differ.
+    series = np.full(horizon, value)
+    series.flags.writeable = False
+    return series
+
+
+def on_demand_schedule(vm: VMClass, horizon: int, rates: CostRates | None = None) -> CostSchedule:
+    """Deterministic schedule at fixed on-demand prices (paper §III / §V-A).
+
+    Its five series are shared, read-only constant arrays, one per (price,
+    horizon): every fleet tenant and rolling window of a class holds the
+    same five arrays instead of its own copies.  Writing to one raises;
+    :meth:`CostSchedule.with_compute` swaps a series out.
+    """
     T = int(horizon)
     if T < 1:
         raise ValueError("horizon must be >= 1")
     return CostSchedule(
-        compute=np.full(T, vm.on_demand_price),
-        storage=np.full(T, rates.storage_per_gb_hour),
-        io=np.full(T, rates.io_per_gb),
-        transfer_in=np.full(T, rates.transfer_in_per_gb),
-        transfer_out=np.full(T, rates.transfer_out_per_gb),
+        **{
+            name: _constant_series(value, math.copysign(1.0, value), T)
+            for name, value in on_demand_rates(vm, rates).items()
+        }
     )
 
 

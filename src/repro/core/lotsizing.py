@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,45 +91,51 @@ def solve_wagner_whitin(instance: DRRPInstance) -> RentalPlan:
             "Wagner-Whitin needs a bottleneck that never binds: capacity 0 "
             "or at least rate x total net demand in every slot"
         )
-    closed = None if open_slots.all() else ~open_slots
+    is_open = open_slots.tolist()
 
     T = instance.horizon
     c = instance.costs
-    holding = c.holding
-    phi = instance.phi
-    unit_gen = c.transfer_in * phi
-    setup = c.compute
-
-    demand = instance.net_demand
-    cum = np.concatenate([[0.0], np.cumsum(demand)])
-    hold_prefix = np.concatenate([[0.0], np.cumsum(holding)])
+    # Plain floats: every value below is the same IEEE operation, in the
+    # same order, as its elementwise numpy form (``accumulate`` adds in
+    # slot order, as ``np.cumsum`` does), without the per-row array
+    # overhead that dominates at service horizons.
+    unit_gen = (c.transfer_in * instance.phi).tolist()
+    setup = c.compute.tolist()
+    demand = instance.net_demand.tolist()
+    cum = [0.0, *accumulate(demand)]
+    hold_prefix = [0.0, *accumulate(c.holding.tolist())]
 
     INF = float("inf")
     best = [INF] * (T + 1)   # best[j]: min cost serving net demand of [0, j)
     choice = [-1] * (T + 1)  # production slot, or -2 for "skip"
     best[0] = 0.0
+    # base[t] = best[t] + setup[t], once best[t] is final; a closed slot
+    # keeps inf, so none of its candidates is ever picked.
+    base = [INF] * T
     # hold[t]: holding cost of producing at t for the net demand of [t, j];
     # each unit consumed in slot u sits in inventory ends t..u-1, so moving
     # from j-1 to j adds demand[j] * (hold_prefix[j] - hold_prefix[t]).
-    hold = np.zeros(T)
+    hold = [0.0] * T
 
     for j in range(T):
+        d, hp, total = demand[j], hold_prefix[j], cum[j + 1]
         # Skip transition: slot j has no net demand, extend the plan for [0, j).
-        if demand[j] <= _EPS and best[j] < best[j + 1]:
+        if d <= _EPS and best[j] < best[j + 1]:
             best[j + 1] = best[j]
             choice[j + 1] = -2
-        # Produce at any slot t <= j, covering net demand of [t, j].
-        hold[: j + 1] += demand[j] * (hold_prefix[j] - hold_prefix[: j + 1])
-        qty = cum[j + 1] - cum[: j + 1]
-        cand = np.asarray(best[: j + 1]) + setup[: j + 1] + unit_gen[: j + 1] * qty + hold[: j + 1]
-        cand[qty <= _EPS] = INF
-        if closed is not None:
-            cand[closed[: j + 1]] = INF
-        # Scan in slot order so the earliest of (near-)equal candidates wins.
+        if is_open[j]:
+            base[j] = best[j] + setup[j]
+        # Produce at any slot t <= j, covering net demand of [t, j]; scan
+        # in slot order so the earliest of (near-)equal candidates wins.
         cur, pick = best[j + 1], choice[j + 1]
-        for t, value in enumerate(cand.tolist()):
-            if value < cur - 1e-15:
-                cur, pick = value, t
+        bar = cur - 1e-15
+        for t in range(j + 1):
+            h = hold[t] = hold[t] + d * (hp - hold_prefix[t])
+            qty = total - cum[t]
+            if qty > _EPS:
+                value = base[t] + unit_gen[t] * qty + h
+                if value < bar:
+                    cur, pick, bar = value, t, value - 1e-15
         best[j + 1], choice[j + 1] = cur, pick
 
     if best[T] == INF:

@@ -81,7 +81,8 @@ class TenantOutcome:
     instance: DRRPInstance  # the (possibly knocked) instance the plan satisfies
     method: str  # "heuristic" | "milp"
     escalated: bool
-    reason: str  # "" | "gap" | "heuristic-infeasible"
+    # "" | "gap" | "heuristic-infeasible" | "gap; escalation failed: <error>"
+    reason: str
     gap: float | None
     lower_bound: float | None
     knocked: tuple[int, ...] = ()
@@ -182,33 +183,55 @@ def _plan_tenant(item: tuple) -> TenantOutcome:
     """Worker body: heuristic first, ``solve_drrp`` on escalation
     (module-level so ``parallel_map`` can pickle it; ``plan_fleet`` looks
     it up at call time).  The outcome's ``method`` is ``"milp"`` for an
-    escalated tenant whichever exact solver ``backend`` picks."""
-    tenant_id, instance, knocked, gap_tol, backend, max_rounds = item
+    escalated tenant whichever exact solver ``backend`` picks.
+
+    The escalated solve runs under the fleet's ``deadline``.  An escalation
+    that fails (an explicit backend's ``node_limit`` without an incumbent,
+    say) keeps the heuristic plan when there is one and it satisfies the
+    knocked instance; ``reason`` then says why.  A tenant without a
+    heuristic plan has nothing to keep, and the error stands.
+    """
+    tenant_id, instance, knocked, gap_tol, backend, max_rounds, deadline = item
     knocked_instance = _knock(instance, knocked)
     method, reason, gap, lower = "heuristic", "", None, None
-    plan = None
+    plan = heuristic_plan = None
     try:
         result = solve_heuristic(knocked_instance, max_rounds=max_rounds)
-        gap, lower, plan = result.gap, result.lower_bound, result.plan
+        gap, lower = result.gap, result.lower_bound
         if math.isfinite(gap_tol) and result.gap > gap_tol:
-            method, reason, plan = "milp", "gap", None
+            method, reason, heuristic_plan = "milp", "gap", result.plan
+        else:
+            plan = result.plan
     except HeuristicInfeasible:
         # Correctness beats tiering: a tenant the heuristic cannot serve
         # within its available slots gets the MILP regardless of SLA.
         method, reason = "milp", "heuristic-infeasible"
     if plan is None:
-        plan = solve_drrp(knocked_instance, backend=backend)
+        try:
+            plan = solve_drrp(knocked_instance, backend=backend, deadline=deadline)
+        except RuntimeError as exc:
+            if heuristic_plan is None or not _satisfies(heuristic_plan, knocked_instance):
+                raise
+            method, reason, plan = "heuristic", f"{reason}; escalation failed: {exc}", heuristic_plan
     return TenantOutcome(
         tenant_id=tenant_id,
         plan=plan,
         instance=knocked_instance,
         method=method,
-        escalated=method == "milp",
+        escalated=reason != "",
         reason=reason,
         gap=gap,
         lower_bound=lower,
         knocked=knocked,
     )
+
+
+def _satisfies(plan: RentalPlan, instance: DRRPInstance) -> bool:
+    try:
+        plan.validate(instance)
+    except AssertionError:
+        return False
+    return True
 
 
 def _first_net_demand(tenant: Tenant) -> int:
@@ -306,6 +329,7 @@ def plan_fleet(
                 SLAS[by_id[tid].sla].gap_tolerance,
                 cfg.backend,
                 cfg.max_search_rounds,
+                deadline,
             )
             for tid in ids
         ]

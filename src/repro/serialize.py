@@ -97,12 +97,40 @@ def jsonable(obj):
         return repr(obj)
 
 
+_ROUND = "{:.12g}".format
+_FLOAT = frozenset({float})
+_STR = frozenset({str})
+
+
 def canonicalize(obj):
     """Round floats to 12 significant digits and sort mappings, recursively.
 
-    :func:`jsonable` runs once over the whole tree; its output is already
-    JSON-typed, so the rounding/sorting pass never re-coerces a subtree.
+    One pass that dispatches on the exact type.  Plain JSON values
+    (``str``-keyed dicts, lists, tuples, finite floats, ints, strings) are
+    rounded and sorted as they are copied; a list of finite floats is
+    rounded in one ``map``, or once when all its entries are equal.  Every
+    other value (numpy values, ``Fraction``, sets, non-finite floats,
+    subclasses, non-``str`` keys) goes through :func:`jsonable` first, so
+    the result is the same as coercing the whole tree and then rounding it.
     """
+    cls = type(obj)
+    if cls is float:
+        if obj - obj == 0.0:  # finite
+            return float(_ROUND(obj))
+    elif cls is list or cls is tuple:
+        if _FLOAT.issuperset(map(type, obj)) and math.isfinite(sum(obj)):
+            first = obj[0] if obj else 0.0
+            if first and obj.count(first) == len(obj):
+                # A constant series (an on-demand cost list) rounds once:
+                # equal nonzero floats have the same bits.
+                return [float(_ROUND(first))] * len(obj)
+            return list(map(float, map(_ROUND, obj)))
+        return [canonicalize(v) for v in obj]
+    elif cls is dict:
+        if _STR.issuperset(map(type, obj)):
+            return {k: canonicalize(obj[k]) for k in sorted(obj)}
+    elif cls is str or cls is int or cls is bool or obj is None:
+        return obj
     return _round_and_sort(jsonable(obj))
 
 

@@ -100,9 +100,11 @@ def _expand_shorthand(payload: dict) -> dict:
     """``{"vm", "horizon", "seed", ...}`` -> an explicit instance dict.
 
     Mirrors what ``repro plan`` builds, so a shorthand submission and the
-    equivalent explicit submission digest identically.  Needs numpy.
+    equivalent explicit submission digest identically (each cost list
+    holds the one per-slot rate :func:`repro.core.on_demand_schedule`
+    fills its series with).  Needs numpy.
     """
-    from repro.core import NormalDemand, on_demand_schedule
+    from repro.core import NormalDemand, on_demand_rates
     from repro.market import ec2_catalog
 
     catalog = ec2_catalog()
@@ -119,10 +121,10 @@ def _expand_shorthand(payload: dict) -> dict:
     mean = _float(payload.get("demand_mean"), "demand_mean", default=0.4)
     std = _float(payload.get("demand_std"), "demand_std", default=0.2)
     demand = NormalDemand(mean=mean, std=std).sample(horizon, seed)
-    costs = on_demand_schedule(vm, horizon)
+    rates = on_demand_rates(vm)
     return {
-        "demand": [float(x) for x in demand],
-        "costs": {f: [float(x) for x in getattr(costs, f)] for f in _COST_FIELDS},
+        "demand": demand.tolist(),
+        "costs": {f: [rates[f]] * horizon for f in _COST_FIELDS},
         "phi": _float(payload.get("phi"), "phi", default=0.5),
         "initial_storage": _float(payload.get("initial_storage"), "initial_storage", default=0.0),
         "vm_name": vm.name,
@@ -323,14 +325,16 @@ def build_instance(request: dict):
 
 
 def plan_payload(kind: str, plan) -> dict:
-    """A solved RentalPlan / SRRPPlan as a JSON-safe response body."""
+    """A solved RentalPlan / SRRPPlan as a JSON-safe response body (imports numpy)."""
+    import numpy as np
+
     body = {
         "kind": kind,
         "status": plan.status.value,
         "vm_name": plan.vm_name,
-        "alpha": [float(x) for x in plan.alpha],
-        "beta": [float(x) for x in plan.beta],
-        "chi": [int(round(float(x))) for x in plan.chi],
+        "alpha": np.asarray(plan.alpha, dtype=float).tolist(),
+        "beta": np.asarray(plan.beta, dtype=float).tolist(),
+        "chi": [int(round(x)) for x in np.asarray(plan.chi, dtype=float).tolist()],
     }
     if kind == "drrp":
         body["total_cost"] = float(plan.total_cost)

@@ -481,6 +481,7 @@ class PlanningHTTPServer(ThreadingHTTPServer):
                  quiet: bool = True) -> None:
         self.service = service
         self.quiet = quiet
+        self.closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -496,13 +497,18 @@ class PlanningHTTPServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def server_close(self) -> None:
-        """Close the listener, end every keep-alive connection, join handlers.
+        """Close the listener and end every keep-alive connection.
 
         Without this an idle client connection would hold its handler
-        thread (and the join below) until the idle timeout.  Only the read
-        side is shut: an idle handler sees end-of-file at once, and one in
-        the middle of a request still sends its reply before it exits.
+        thread until the idle timeout (handler threads are daemons, so
+        nothing joins them).  Only the read side is shut: an idle handler
+        sees end-of-file at once, and one in the middle of a request still
+        sends its reply before it exits.  A handler that reads a new
+        request after this point closes its connection unanswered (see
+        ``_Handler.parse_request``), so a keep-alive client reconnects to
+        whatever serves the port next.
         """
+        self.closing = True
         with self._connections_lock:
             for conn in self._connections:
                 try:
@@ -515,6 +521,29 @@ class PlanningHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+
+
+def _str_keyed(obj) -> bool:
+    """Whether every mapping nested in ``obj`` has only ``str`` keys.
+
+    Only then does ``json.dumps`` write a body the same as it writes its
+    :func:`jsonable` form: a ``True`` or ``None`` key is ``"true"`` or
+    ``"null"`` to the former and ``"True"`` or ``"None"`` to the latter.
+    """
+    if isinstance(obj, dict):
+        if not _STR.issuperset(map(type, obj)):
+            return False
+        obj = obj.values()
+    if _JSON_LEAVES.issuperset(map(type, obj)):
+        return True
+    for v in obj:
+        if isinstance(v, (dict, list, tuple)) and not _str_keyed(v):
+            return False
+    return True
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -536,8 +565,15 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     def _send(self, status: int, body: dict, retry_after: float | None = None) -> None:
-        data = json.dumps(jsonable(body), allow_nan=False).encode()
-        self._send_raw(status, data, "application/json", retry_after=retry_after)
+        data = None
+        if _str_keyed(body):
+            try:
+                data = json.dumps(body, allow_nan=False)
+            except (TypeError, ValueError):  # non-JSON leaves: numpy, Fraction, inf, ...
+                pass
+        if data is None:
+            data = json.dumps(jsonable(body), allow_nan=False)
+        self._send_raw(status, data.encode(), "application/json", retry_after=retry_after)
 
     def _send_raw(self, status: int, data: bytes, content_type: str,
                   retry_after: float | None = None) -> None:
@@ -550,6 +586,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def parse_request(self) -> bool:
+        # A request read after server_close() began (it raced the read-side
+        # shutdown of its keep-alive connection) goes unanswered: the
+        # service behind this server is closing, and the client resends it
+        # on a fresh connection.
+        if self.server.closing:
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def _reply(self, status: int, body: dict) -> None:
         retry_after = body.get("retry_after") if status in (429, 503) else None

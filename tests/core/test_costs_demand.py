@@ -9,6 +9,7 @@ from repro.core import (
     CostSchedule,
     DiurnalDemand,
     NormalDemand,
+    on_demand_rates,
     on_demand_schedule,
     spot_schedule,
 )
@@ -59,6 +60,36 @@ class TestCostSchedule:
         vm = ec2_catalog()["c1.medium"]
         with pytest.raises(ValueError):
             on_demand_schedule(vm, 0)
+
+
+    def test_on_demand_series_are_shared_and_read_only(self):
+        vm = ec2_catalog()["m1.large"]
+        a, b = on_demand_schedule(vm, 24), on_demand_schedule(vm, 24)
+        for field in ("compute", "storage", "io", "transfer_in", "transfer_out"):
+            series = getattr(a, field)
+            assert series is getattr(b, field)
+            assert not series.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                series[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                series += 1.0
+        assert on_demand_schedule(vm, 12).compute.shape == (12,)
+        assert on_demand_schedule(ec2_catalog()["c1.medium"], 24).compute is not a.compute
+
+    def test_on_demand_rates_fill_the_schedule(self):
+        vm = ec2_catalog()["c1.xlarge"]
+        rates = CostRates(storage_per_gb_month=0.2, transfer_out_per_gb=0.0)
+        schedule = on_demand_schedule(vm, 7, rates)
+        for field, rate in on_demand_rates(vm, rates).items():
+            assert type(rate) is float
+            assert getattr(schedule, field).tolist() == [rate] * 7
+
+    def test_replacing_a_shared_series_leaves_it_alone(self):
+        vm = ec2_catalog()["c1.medium"]
+        base = on_demand_schedule(vm, 6)
+        spot = spot_schedule(vm, np.linspace(0.05, 0.07, 6))
+        assert spot.storage is base.storage
+        assert np.all(base.compute == vm.on_demand_price)
 
 
 class TestDemandModels:

@@ -101,6 +101,72 @@ class TestPlanFleet:
             plan_fleet(mixed, uniform_pools(a), FleetConfig(workers=1))
 
 
+class TestEscalationFailure:
+    """An exact solve that fails keeps the heuristic plan it replaced."""
+
+    @staticmethod
+    def _fail_escalations(monkeypatch):
+        import repro.fleet.planner as planner
+
+        def failing(instance, **kwargs):
+            raise RuntimeError("DRRP solve failed with status node_limit")
+
+        monkeypatch.setattr(planner, "solve_drrp", failing)
+
+    def test_gap_escalation_keeps_the_heuristic_plan(self, monkeypatch):
+        self._fail_escalations(monkeypatch)
+        tenants = generate_tenants(20, seed=0, horizon=16)
+        pools = uniform_pools(tenants, utilization=1.0)
+        fleet = plan_fleet(tenants, pools, FleetConfig(workers=1))
+        failed = [o for o in fleet.outcomes if "escalation failed" in o.reason]
+        assert failed, "seed 0 must escalate at least one tenant on its gap"
+        for o in failed:
+            assert o.reason == "gap; escalation failed: DRRP solve failed with status node_limit"
+            assert o.method == "heuristic" and o.escalated
+            o.plan.validate(o.instance)
+        assert fleet.feasible and fleet.methods == {"heuristic": len(tenants)}
+
+    def test_error_stands_without_a_heuristic_plan(self, monkeypatch):
+        import repro.fleet.planner as planner
+        from repro.fleet.heuristic import HeuristicInfeasible
+
+        self._fail_escalations(monkeypatch)
+
+        def infeasible(instance, **kwargs):
+            raise HeuristicInfeasible("no plan")
+
+        monkeypatch.setattr(planner, "solve_heuristic", infeasible)
+        tenants = generate_tenants(4, seed=0, horizon=8)
+        with pytest.raises(RuntimeError, match="node_limit"):
+            plan_fleet(tenants, uniform_pools(tenants, utilization=1.0), FleetConfig(workers=1))
+
+    def test_error_stands_when_the_heuristic_plan_does_not_fit(self, monkeypatch):
+        import repro.fleet.planner as planner
+
+        self._fail_escalations(monkeypatch)
+        monkeypatch.setattr(planner, "_satisfies", lambda plan, instance: False)
+        tenants = generate_tenants(20, seed=0, horizon=16)
+        with pytest.raises(RuntimeError, match="node_limit"):
+            plan_fleet(tenants, uniform_pools(tenants, utilization=1.0), FleetConfig(workers=1))
+
+    def test_escalated_solve_gets_the_fleet_deadline(self, monkeypatch):
+        import repro.fleet.planner as planner
+        from repro.solver.telemetry import Deadline
+
+        seen = []
+
+        def recording(instance, **kwargs):
+            seen.append(kwargs.get("deadline"))
+            return solve_drrp(instance, **kwargs)
+
+        monkeypatch.setattr(planner, "solve_drrp", recording)
+        tenants = generate_tenants(20, seed=0, horizon=16)
+        deadline = Deadline(60.0)
+        plan_fleet(tenants, uniform_pools(tenants, utilization=1.0), FleetConfig(workers=1),
+                   deadline=deadline)
+        assert seen and all(d is deadline for d in seen)
+
+
 class TestPoolRepairProperty:
     @given(
         seed=st.integers(0, 10_000),

@@ -147,6 +147,23 @@ class TestBuildAndPayload:
         assert payload["status"] == "optimal"
         assert "expected_cost" in payload and "first_chi" in payload
 
+    @pytest.mark.parametrize("kind", ["drrp", "srrp"])
+    def test_decision_lists_are_the_plain_floats_of_the_plan(self, kind):
+        import json
+
+        from repro.core import solve_drrp, solve_srrp
+
+        req = normalize_request(explicit_drrp(T=12) if kind == "drrp" else explicit_srrp(T=4))
+        plan = (solve_drrp if kind == "drrp" else solve_srrp)(build_instance(req))
+        payload = plan_payload(kind, plan)
+        expected = {
+            "alpha": [float(x) for x in plan.alpha],
+            "beta": [float(x) for x in plan.beta],
+            "chi": [int(round(float(x))) for x in plan.chi],
+        }
+        for key, values in expected.items():
+            assert json.dumps(payload[key]) == json.dumps(values)
+
 
 class TestBackendList:
     def test_matches_the_solver_backends(self):
@@ -156,3 +173,65 @@ class TestBackendList:
         from repro.solver import BACKENDS as SOLVER_BACKENDS
 
         assert BACKENDS == SOLVER_BACKENDS
+
+
+def _expand_via_schedule(vm_name, horizon, seed=0, mean=0.4, std=0.2, phi=0.5, initial=0.0):
+    """Shorthand expansion spelled out through a full ``CostSchedule``:
+    the reference the wire form of every shorthand request must equal."""
+    from repro.core import NormalDemand, on_demand_schedule
+    from repro.market import ec2_catalog
+
+    vm = ec2_catalog()[vm_name]
+    demand = NormalDemand(mean=mean, std=std).sample(horizon, seed)
+    costs = on_demand_schedule(vm, horizon)
+    fields = ("compute", "storage", "io", "transfer_in", "transfer_out")
+    return {
+        "demand": [float(x) for x in demand],
+        "costs": {f: [float(x) for x in getattr(costs, f)] for f in fields},
+        "phi": phi,
+        "initial_storage": initial,
+        "vm_name": vm.name,
+    }
+
+
+def _all_floats(instance) -> bool:
+    lists = [instance["demand"], *instance["costs"].values()]
+    scalars = [instance["phi"], instance["initial_storage"]]
+    return all(type(x) is float for xs in lists for x in xs) and all(
+        type(x) is float for x in scalars
+    )
+
+
+# sha256 of json.dumps(..., sort_keys=True) over the expansion of every
+# catalog VM (sorted by name) at one horizon, recorded before the
+# expansion stopped building a CostSchedule.
+PINNED_SHORTHAND = {
+    1: "29d9893f757a6bd0edaaa5542e4b783ae7faf442fe22c6fcf39b7335f83ed002",
+    24: "c6eb93d1a779d563527e15d91f8c0a28f7471fc01e922932f07435e1b378092c",
+    8760: "1a5838bc5de554aee7f85c6b33e9b23e8bf9d9f9ed979c112bdbe7420093d1a6",
+}
+
+
+class TestShorthandIdentity:
+    @pytest.mark.parametrize("horizon", sorted(PINNED_SHORTHAND))
+    def test_every_catalog_vm_expands_as_before(self, horizon):
+        import hashlib
+        import json
+
+        from repro.market import ec2_catalog
+
+        expanded = []
+        for name in sorted(ec2_catalog()):
+            inst = normalize_request({"vm": name, "horizon": horizon})["instance"]
+            assert inst == _expand_via_schedule(name, horizon)
+            assert _all_floats(inst)
+            expanded.append(inst)
+        blob = json.dumps(expanded, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHORTHAND[horizon]
+
+    def test_explicit_parameters_expand_as_before(self):
+        short = {"vm": "c1.xlarge", "horizon": 48, "seed": 5, "demand_mean": 0.7,
+                 "demand_std": 0.3, "phi": 0.25, "initial_storage": 0.1}
+        inst = normalize_request(short)["instance"]
+        assert inst == _expand_via_schedule("c1.xlarge", 48, 5, 0.7, 0.3, 0.25, 0.1)
+        assert _all_floats(inst)

@@ -88,6 +88,16 @@ class TestFleetExecution:
         with pytest.raises(RuntimeError, match="deadline"):
             execute_request(req, time_limit=0.0)
 
+    def test_explicit_backend_escalations_honour_the_budget(self):
+        # Escalated tenants' branch-and-bound solves stop at the fleet's
+        # deadline instead of running to their node limits first.
+        req = normalize_request({"kind": "fleet", "tenants": 40, "seed": 3,
+                                 "backend": "simplex"})
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="deadline"):
+            execute_request(req, time_limit=0.01)
+        assert time.monotonic() - t0 < 5.0
+
     def test_plan_finished_past_its_budget_says_time_limit(self):
         # Roomy pools: no repair round, so the one batch runs past the budget.
         req = normalize_request({"kind": "fleet", "tenants": 40, "seed": 3,

@@ -164,6 +164,24 @@ class TestConnectionReuse:
             client.close()
             srv.stop()
 
+    def test_request_read_while_closing_goes_unanswered(self):
+        # The race the restart test can hit: a keep-alive request that the
+        # old handler reads after server_close() began must not be answered
+        # by the closing service; the connection closes and the client
+        # resends elsewhere.
+        srv = Server()
+        conn = http.client.HTTPConnection(*srv.httpd.server_address[:2], timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            srv.httpd.closing = True
+            conn.request("GET", "/healthz")
+            with pytest.raises(http.client.RemoteDisconnected):
+                conn.getresponse()
+        finally:
+            conn.close()
+            srv.stop()
+
     def test_fresh_connection_failure_is_not_retried(self):
         srv = Server()
         srv.stop()
